@@ -16,9 +16,9 @@
 //!
 //! ## Atomicity protocol
 //!
-//! [`write_atomic`] writes header + payload to `<name>.tmp` in the
-//! destination directory, fsyncs the temp file, renames it over the final
-//! name, then fsyncs the directory. POSIX rename is atomic, so a kill at
+//! [`write_atomic`] writes header + payload to a temp file unique to the
+//! call (`<name>.<pid>.<seq>.tmp`) in the destination directory, fsyncs
+//! it, renames it over the final name, then fsyncs the directory. POSIX rename is atomic, so a kill at
 //! any instruction leaves either the previous complete file or the new
 //! complete file — never a torn one. Fault-injection tests (feature
 //! `failpoints`) kill the process at each named site in this sequence and
@@ -30,6 +30,7 @@ use crate::fnv1a;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes identifying an HSCoNAS checkpoint file.
 pub const MAGIC: [u8; 4] = *b"HSCK";
@@ -158,8 +159,8 @@ impl CkptHeader {
     }
 }
 
-/// Atomically writes a checkpoint file: temp file in the destination
-/// directory → fsync → rename over `path` → fsync the directory.
+/// Atomically writes a checkpoint file: header + payload, by the same
+/// writer and protocol as [`write_atomic_bytes`].
 ///
 /// # Errors
 ///
@@ -180,31 +181,54 @@ pub fn write_atomic(
         payload_len: payload.len() as u64,
         checksum: fnv1a(payload),
     };
+    write_parts(path, &[&header.encode(), payload])
+}
 
+/// Atomically replaces `path` with `bytes`: temp file in the destination
+/// directory → fsync → rename over `path` → fsync the directory. Every
+/// atomic file write in the workspace (checkpoints, LUT snapshots, spill
+/// files, artifacts) goes through here, so a watcher polling the file's
+/// mtime only ever observes complete contents, and the fault-injection
+/// sites cover them all.
+///
+/// The temp name is unique per call (`<name>.<pid>.<seq>.tmp`), so
+/// concurrent writers of one path — threads or processes sharing a
+/// directory — never rename each other's temp files; the last rename
+/// wins whole. A failed write removes its temp file.
+///
+/// # Errors
+///
+/// Returns [`CkptError::Io`] on filesystem failure, or
+/// [`CkptError::FailPoint`] when a fault-injection site is armed.
+pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+    write_parts(path, &[bytes])
+}
+
+/// The one atomic writer: `parts` concatenated, per [`write_atomic_bytes`].
+fn write_parts(path: &Path, parts: &[&[u8]]) -> Result<(), CkptError> {
+    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()
-        .ok_or_else(|| CkptError::corrupt(format!("checkpoint path {path:?} has no file name")))?;
+        .ok_or_else(|| CkptError::corrupt(format!("path {path:?} has no file name")))?;
     let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp_path = path.with_file_name(tmp_name);
 
     fail_point("write.before_temp")?;
-    {
-        let mut tmp = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)
-            .map_err(|e| CkptError::io(format!("create temp {tmp_path:?}"), e))?;
-        tmp.write_all(&header.encode())
-            .and_then(|()| tmp.write_all(payload))
-            .map_err(|e| CkptError::io(format!("write temp {tmp_path:?}"), e))?;
-        tmp.sync_all()
-            .map_err(|e| CkptError::io(format!("fsync temp {tmp_path:?}"), e))?;
+    let staged = write_temp(&tmp_path, parts)
+        .and_then(|()| fail_point("write.after_temp"))
+        .and_then(|()| {
+            fs::rename(&tmp_path, path)
+                .map_err(|e| CkptError::io(format!("rename {tmp_path:?} -> {path:?}"), e))
+        });
+    if let Err(e) = staged {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e);
     }
-    fail_point("write.after_temp")?;
-    fs::rename(&tmp_path, path)
-        .map_err(|e| CkptError::io(format!("rename {tmp_path:?} -> {path:?}"), e))?;
     fail_point("write.after_rename")?;
     if let Some(dir) = path.parent() {
         // Persist the rename itself; ignore platforms where directories
@@ -216,42 +240,20 @@ pub fn write_atomic(
     Ok(())
 }
 
-/// Atomically replaces `path` with `bytes` using the same temp → fsync →
-/// rename → dir-fsync protocol as [`write_atomic`], but without the
-/// checkpoint header — for plain artifact files (LUT snapshots, reports)
-/// that other readers may be watching for changes. A watcher polling the
-/// file's mtime therefore only ever observes complete contents.
-///
-/// # Errors
-///
-/// Returns [`CkptError::Io`] on filesystem failure.
-pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| CkptError::corrupt(format!("path {path:?} has no file name")))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp_path = path.with_file_name(tmp_name);
-    {
-        let mut tmp = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)
-            .map_err(|e| CkptError::io(format!("create temp {tmp_path:?}"), e))?;
-        tmp.write_all(bytes)
+/// Creates `tmp_path`, writes `parts` in order, and fsyncs it.
+fn write_temp(tmp_path: &Path, parts: &[&[u8]]) -> Result<(), CkptError> {
+    let mut tmp = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(tmp_path)
+        .map_err(|e| CkptError::io(format!("create temp {tmp_path:?}"), e))?;
+    for part in parts {
+        tmp.write_all(part)
             .map_err(|e| CkptError::io(format!("write temp {tmp_path:?}"), e))?;
-        tmp.sync_all()
-            .map_err(|e| CkptError::io(format!("fsync temp {tmp_path:?}"), e))?;
     }
-    fs::rename(&tmp_path, path)
-        .map_err(|e| CkptError::io(format!("rename {tmp_path:?} -> {path:?}"), e))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    tmp.sync_all()
+        .map_err(|e| CkptError::io(format!("fsync temp {tmp_path:?}"), e))
 }
 
 /// Reads and fully validates a checkpoint file: magic, version, expected
@@ -347,8 +349,7 @@ mod tests {
         assert_eq!(header.phase(), Some(Phase::Search));
         assert_eq!(header.cursor, 1);
         assert_eq!(payload, b"payload bytes");
-        // No temp file left behind.
-        assert!(!path.with_file_name("ckpt-0000000001.hsck.tmp").exists());
+        assert!(temp_files(&dir).is_empty(), "no temp file left behind");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -415,13 +416,41 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"{\"v\":1}");
         write_atomic_bytes(&path, b"{\"v\":2}").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"{\"v\":2}");
-        let leftovers: Vec<_> = fs::read_dir(&dir)
+        let leftovers = temp_files(&dir);
+        assert!(leftovers.is_empty(), "temp files cleaned: {leftovers:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Several threads replacing one path at once: every write succeeds,
+    /// the file ends up equal to one whole payload, and no temp remains.
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        let dir = tmp_dir("concurrent");
+        let path = dir.join("shared.evals");
+        let payloads: Vec<Vec<u8>> = (0..8u8).map(|t| vec![t; 4096 + usize::from(t)]).collect();
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let path = &path;
+                scope.spawn(move || {
+                    for _ in 0..25 {
+                        write_atomic_bytes(path, payload).unwrap();
+                    }
+                });
+            }
+        });
+        let last = fs::read(&path).unwrap();
+        assert!(payloads.contains(&last), "file is one whole payload");
+        let leftovers = temp_files(&dir);
+        assert!(leftovers.is_empty(), "temp files cleaned: {leftovers:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn temp_files(dir: &Path) -> Vec<std::ffi::OsString> {
+        fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .filter(|n| n.to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "temp files cleaned: {leftovers:?}");
-        let _ = fs::remove_dir_all(&dir);
+            .collect()
     }
 
     #[test]

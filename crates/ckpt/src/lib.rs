@@ -26,6 +26,9 @@
 //!   named write sites, so the crash-safety guarantees are enforced by
 //!   tests instead of asserted in comments.
 //!
+//! The [`envelope`] module holds the lighter magic/version/length/checksum
+//! header that the `.hsart` and `.hsbt` artifact formats share.
+//!
 //! The payload itself is an opaque byte string; [`codec`] provides a
 //! little-endian binary encoder/decoder whose float paths go through
 //! `to_bits`/`from_bits`, so state round-trips **bit-identically** — the
@@ -35,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod envelope;
 mod error;
 pub mod failpoint;
 pub mod file;

@@ -51,6 +51,12 @@ fn errored_write_at_any_site_leaves_previous_checkpoint_intact() {
             matches!(result, Err(CkptError::FailPoint { .. })),
             "site {site} should have errored"
         );
+        let temps: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(temps.is_empty(), "site {site} left temp files {temps:?}");
 
         // The previous checkpoint must still be the (or a) valid latest;
         // whatever the interrupted write left behind must not break

@@ -3,14 +3,8 @@
 //!
 //! ## Envelope
 //!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "HSAR"
-//! 4       4     format version (u32 LE), currently 1
-//! 8       8     payload length (u64 LE)
-//! 16      8     FNV-1a checksum of the payload (u64 LE)
-//! 24      …     payload (hsconas-ckpt Encoder stream)
-//! ```
+//! The [`hsconas_ckpt::envelope`] header with magic "HSAR" and format
+//! version 1, around an hsconas-ckpt Encoder stream.
 //!
 //! Loading is strict: wrong magic, a foreign version, a length that does
 //! not match the file, a checksum mismatch, an unknown op tag, trailing
@@ -20,7 +14,7 @@
 
 use std::path::Path;
 
-use hsconas_ckpt::{fnv1a, write_atomic_bytes, Decoder, Encoder};
+use hsconas_ckpt::{envelope, write_atomic_bytes, Decoder, Encoder};
 use hsconas_space::NetworkSkeleton;
 use hsconas_tensor::Tensor;
 
@@ -31,7 +25,6 @@ use crate::GraphError;
 pub const MAGIC: [u8; 4] = *b"HSAR";
 /// Current artifact format version.
 pub const FORMAT_VERSION: u32 = 1;
-const HEADER_LEN: usize = 24;
 
 /// Provenance: everything needed to deterministically rebuild the
 /// reference supernet this artifact was compiled from.
@@ -330,13 +323,7 @@ pub fn to_bytes(artifact: &Artifact) -> Vec<u8> {
     }
     let payload = e.finish();
 
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    bytes
+    envelope::seal(MAGIC, FORMAT_VERSION, &payload)
 }
 
 /// Parses an artifact, rejecting any malformed envelope or payload.
@@ -345,41 +332,7 @@ pub fn to_bytes(artifact: &Artifact) -> Vec<u8> {
 ///
 /// Returns [`GraphError::Artifact`] naming the first defect found.
 pub fn from_bytes(bytes: &[u8]) -> Result<Artifact, GraphError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(art_err(format!(
-            "file is {} bytes, smaller than the {HEADER_LEN}-byte header",
-            bytes.len()
-        )));
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(art_err(format!(
-            "bad magic {:02x?}, expected {:02x?} (\"HSAR\")",
-            &bytes[0..4],
-            MAGIC
-        )));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(art_err(format!(
-            "format version {version} is not supported (this build reads version {FORMAT_VERSION})"
-        )));
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() != payload_len {
-        return Err(art_err(format!(
-            "payload is {} bytes but the header promises {payload_len} (truncated or padded file)",
-            payload.len()
-        )));
-    }
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let actual = fnv1a(payload);
-    if checksum != actual {
-        return Err(art_err(format!(
-            "payload checksum {actual:#018x} does not match header {checksum:#018x} (corrupted file)"
-        )));
-    }
-
+    let payload = envelope::open(MAGIC, FORMAT_VERSION, bytes).map_err(art_err)?;
     let mut d = Decoder::new(payload);
     let input_resolution = d.get_usize()?;
     let input_channels = d.get_usize()?;

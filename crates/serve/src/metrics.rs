@@ -1,76 +1,104 @@
 //! Serve-local metrics.
 //!
-//! Two layers with different jobs:
+//! One store per fact: every counter here is a [`hsconas_telemetry`]
+//! registry [`Counter`] cell, registered under a key that mirrors its
+//! `status` path (`status.served.score` is `serve.served.score`). `status`
+//! reads this server's own cells with [`Counter::get`], so several daemons
+//! in one process never mix their tallies, while `hsconas report` and the
+//! JSONL event stream read the same cells summed per key. Every accepted
+//! request increments exactly one `served` / `rejected` cell, so
+//! `sum(counters) == client-side tally` holds with no sampling error.
 //!
-//! * **Exact atomics** (this struct's counters) back the `status`
-//!   response and the soak test's bookkeeping contract: every accepted
-//!   request increments exactly one of `served_*` / `rejected_*`, so
-//!   `sum(counters) == client-side tally` holds with no sampling error.
-//! * **Registry instruments** ([`hsconas_telemetry`] histograms, gauge,
-//!   counters) feed the p50/p99 latency figures in `status` and, with the
-//!   `telemetry` feature, the JSONL event stream. The registry is
-//!   compiled unconditionally, so percentiles work in no-default-features
-//!   builds too.
+//! The latency histograms feed the p50/p99 figures in `status`. The
+//! registry is compiled unconditionally, so counters and percentiles work
+//! in no-default-features builds too.
 
+use crate::json::Json;
+use crate::proto::{
+    CODE_BAD_REQUEST, CODE_FRAME_TOO_LARGE, CODE_OVERLOADED, CODE_SHUTTING_DOWN,
+    CODE_UNKNOWN_DEVICE,
+};
 use hsconas_telemetry::{Counter, Gauge, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// `[(field, prefix + field), ..]`: a `status` field name paired with its
+/// registry key, so the two can never drift apart.
+macro_rules! keyed {
+    ($prefix:literal: $($name:literal),+ $(,)?) => {
+        [$(($name, concat!($prefix, $name))),+]
+    };
+}
+
+/// Commands counted in `status.served`, in wire order: `(field, key)`.
+pub const SERVED: [(&str, &str); 7] = keyed!("serve.served.":
+    "status", "predict_latency", "score", "search", "pareto", "shutdown", "infer");
+
+/// Commands with a latency histogram (`status.latency_ms`); the control
+/// commands `status` and `shutdown` are not timed.
+pub const TIMED: [(&str, &str); 5] = keyed!("serve.latency_ms.":
+    "predict_latency", "score", "search", "pareto", "infer");
+
+/// Rejection kinds counted in `status.rejected`, in wire order. The first
+/// five match [`REJECTED_CODES`] by index; the last, `internal`, takes
+/// every other code.
+pub const REJECTED: [(&str, &str); 6] = keyed!("serve.rejected.":
+    "overloaded", "malformed", "oversized", "unknown_device", "shutting_down", "internal");
+
+/// Protocol codes of the first five [`REJECTED`] kinds.
+const REJECTED_CODES: [u16; 5] = [
+    CODE_OVERLOADED,
+    CODE_BAD_REQUEST,
+    CODE_FRAME_TOO_LARGE,
+    CODE_UNKNOWN_DEVICE,
+    CODE_SHUTTING_DOWN,
+];
+
+/// A counter cell as a `status` number.
+pub(crate) fn count(counter: &Counter) -> Json {
+    Json::Num(counter.get() as f64)
+}
+
+/// `{field: cell}` for a `(field, key)` table and its handles.
+fn counts(table: &[(&str, &str)], cells: &[Counter]) -> Json {
+    Json::Obj(
+        table
+            .iter()
+            .zip(cells)
+            .map(|((field, _), cell)| ((*field).to_string(), count(cell)))
+            .collect(),
+    )
+}
 
 /// All serving metrics; one instance per [`crate::Server`].
 pub struct ServeMetrics {
     started: Instant,
     /// Accepted TCP connections.
-    pub connections: AtomicU64,
-    /// 200-answered `status` requests.
-    pub served_status: AtomicU64,
-    /// 200-answered `predict_latency` requests.
-    pub served_predict: AtomicU64,
-    /// 200-answered `score` requests.
-    pub served_score: AtomicU64,
-    /// 200-answered `search` requests.
-    pub served_search: AtomicU64,
-    /// 200-answered `pareto` requests.
-    pub served_pareto: AtomicU64,
-    /// 200-answered `shutdown` requests.
-    pub served_shutdown: AtomicU64,
-    /// 200-answered `infer` requests.
-    pub served_infer: AtomicU64,
+    pub connections: Counter,
+    /// 200 answers per command, indexed like [`SERVED`].
+    pub served: [Counter; 7],
+    /// Error answers per kind, indexed like [`REJECTED`].
+    pub rejected: [Counter; 6],
     /// `infer` requests answered from the compiled-artifact cache.
-    pub infer_cache_hits: AtomicU64,
+    pub infer_cache_hits: Counter,
     /// `predict_latency`/`score` requests answered O(1) from the
     /// precomputed bench table.
-    pub table_hits: AtomicU64,
+    pub table_hits: Counter,
     /// Requests that consulted a loaded bench table and missed (uncovered
     /// arch or stale generation stamp) — these fell through to live eval.
-    pub table_misses: AtomicU64,
-    /// 429 responses (queue full).
-    pub rejected_overloaded: AtomicU64,
-    /// 400 responses (malformed frame or fields).
-    pub rejected_malformed: AtomicU64,
-    /// 413 responses (frame over the size cap).
-    pub rejected_oversized: AtomicU64,
-    /// 404 responses (unknown device).
-    pub rejected_unknown_device: AtomicU64,
-    /// 503 responses (draining).
-    pub rejected_shutting_down: AtomicU64,
-    /// 500 responses.
-    pub internal_errors: AtomicU64,
+    pub table_misses: Counter,
     /// Evaluation micro-batches executed.
-    pub batches: AtomicU64,
+    pub batches: Counter,
     /// Jobs carried by those batches (`>= batches`; the ratio is the
     /// batching win).
-    pub batched_jobs: AtomicU64,
-    /// Highest queue depth observed at admission.
-    pub queue_peak: AtomicU64,
-    /// Live queue depth (mirrored onto the registry gauge).
+    pub batched_jobs: Counter,
+    /// Highest queue depth observed at admission: a high-water mark, not
+    /// a counter.
+    queue_peak: AtomicU64,
+    /// Live queue depth.
     gauge_queue_depth: Gauge,
-    hist_predict_ms: Histogram,
-    hist_score_ms: Histogram,
-    hist_search_ms: Histogram,
-    hist_pareto_ms: Histogram,
-    hist_infer_ms: Histogram,
-    counter_served: Counter,
-    counter_rejected: Counter,
+    /// Latency histograms, indexed like [`TIMED`].
+    latency: [Histogram; 5],
 }
 
 impl ServeMetrics {
@@ -78,34 +106,17 @@ impl ServeMetrics {
     pub fn new() -> ServeMetrics {
         ServeMetrics {
             started: Instant::now(),
-            connections: AtomicU64::new(0),
-            served_status: AtomicU64::new(0),
-            served_predict: AtomicU64::new(0),
-            served_score: AtomicU64::new(0),
-            served_search: AtomicU64::new(0),
-            served_pareto: AtomicU64::new(0),
-            served_shutdown: AtomicU64::new(0),
-            served_infer: AtomicU64::new(0),
-            infer_cache_hits: AtomicU64::new(0),
-            table_hits: AtomicU64::new(0),
-            table_misses: AtomicU64::new(0),
-            rejected_overloaded: AtomicU64::new(0),
-            rejected_malformed: AtomicU64::new(0),
-            rejected_oversized: AtomicU64::new(0),
-            rejected_unknown_device: AtomicU64::new(0),
-            rejected_shutting_down: AtomicU64::new(0),
-            internal_errors: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
+            connections: Counter::register("serve.connections"),
+            served: SERVED.map(|(_, key)| Counter::register(key)),
+            rejected: REJECTED.map(|(_, key)| Counter::register(key)),
+            infer_cache_hits: Counter::register("serve.graphs.cache_hits"),
+            table_hits: Counter::register("serve.bench_table.hits"),
+            table_misses: Counter::register("serve.bench_table.misses"),
+            batches: Counter::register("serve.batching.batches"),
+            batched_jobs: Counter::register("serve.batching.batched_jobs"),
             queue_peak: AtomicU64::new(0),
             gauge_queue_depth: Gauge::register("serve.queue_depth"),
-            hist_predict_ms: Histogram::register("serve.latency_ms.predict_latency"),
-            hist_score_ms: Histogram::register("serve.latency_ms.score"),
-            hist_search_ms: Histogram::register("serve.latency_ms.search"),
-            hist_pareto_ms: Histogram::register("serve.latency_ms.pareto"),
-            hist_infer_ms: Histogram::register("serve.latency_ms.infer"),
-            counter_served: Counter::register("serve.requests_served"),
-            counter_rejected: Counter::register("serve.requests_rejected"),
+            latency: TIMED.map(|(_, key)| Histogram::register(key)),
         }
     }
 
@@ -116,40 +127,22 @@ impl ServeMetrics {
 
     /// Records a successfully served request of `cmd` taking `elapsed_ms`.
     pub fn record_served(&self, cmd: &str, elapsed_ms: f64) {
-        let counter = match cmd {
-            "status" => &self.served_status,
-            "predict_latency" => &self.served_predict,
-            "score" => &self.served_score,
-            "search" => &self.served_search,
-            "pareto" => &self.served_pareto,
-            "shutdown" => &self.served_shutdown,
-            "infer" => &self.served_infer,
-            _ => return,
+        let Some(i) = SERVED.iter().position(|(name, _)| *name == cmd) else {
+            return;
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.counter_served.incr();
-        match cmd {
-            "predict_latency" => self.hist_predict_ms.record(elapsed_ms),
-            "score" => self.hist_score_ms.record(elapsed_ms),
-            "search" => self.hist_search_ms.record(elapsed_ms),
-            "pareto" => self.hist_pareto_ms.record(elapsed_ms),
-            "infer" => self.hist_infer_ms.record(elapsed_ms),
-            _ => {}
+        self.served[i].incr();
+        if let Some(j) = TIMED.iter().position(|(name, _)| *name == cmd) {
+            self.latency[j].record(elapsed_ms);
         }
     }
 
     /// Records a rejection with protocol code `code`.
     pub fn record_rejected(&self, code: u16) {
-        let counter = match code {
-            crate::proto::CODE_OVERLOADED => &self.rejected_overloaded,
-            crate::proto::CODE_BAD_REQUEST => &self.rejected_malformed,
-            crate::proto::CODE_FRAME_TOO_LARGE => &self.rejected_oversized,
-            crate::proto::CODE_UNKNOWN_DEVICE => &self.rejected_unknown_device,
-            crate::proto::CODE_SHUTTING_DOWN => &self.rejected_shutting_down,
-            _ => &self.internal_errors,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.counter_rejected.incr();
+        let i = REJECTED_CODES
+            .iter()
+            .position(|&c| c == code)
+            .unwrap_or(REJECTED_CODES.len());
+        self.rejected[i].incr();
     }
 
     /// Publishes the current queue depth (and tracks the peak).
@@ -158,22 +151,52 @@ impl ServeMetrics {
         self.queue_peak.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
+    /// Highest queue depth seen so far.
+    pub fn queue_peak(&self) -> u64 {
+        self.queue_peak.load(Ordering::Relaxed)
+    }
+
     /// `(count, p50, p99, max)` of the per-command latency histogram.
     pub fn latency_stats(&self, cmd: &str) -> (u64, f64, f64, f64) {
-        let hist = match cmd {
-            "predict_latency" => &self.hist_predict_ms,
-            "score" => &self.hist_score_ms,
-            "search" => &self.hist_search_ms,
-            "pareto" => &self.hist_pareto_ms,
-            "infer" => &self.hist_infer_ms,
-            _ => return (0, 0.0, 0.0, 0.0),
+        let Some(j) = TIMED.iter().position(|(name, _)| *name == cmd) else {
+            return (0, 0.0, 0.0, 0.0);
         };
-        let snap = hist.snapshot();
+        let snap = self.latency[j].snapshot();
         (
             snap.count,
             snap.quantile(0.5),
             snap.quantile(0.99),
             snap.max,
+        )
+    }
+
+    /// The `status.served` object.
+    pub fn served_json(&self) -> Json {
+        counts(&SERVED, &self.served)
+    }
+
+    /// The `status.rejected` object.
+    pub fn rejected_json(&self) -> Json {
+        counts(&REJECTED, &self.rejected)
+    }
+
+    /// The `status.latency_ms` object: count and percentiles per timed
+    /// command.
+    pub fn latency_json(&self) -> Json {
+        Json::Obj(
+            TIMED
+                .iter()
+                .map(|(cmd, _)| {
+                    let (count, p50, p99, max) = self.latency_stats(cmd);
+                    let stats = Json::obj(vec![
+                        ("count", Json::Num(count as f64)),
+                        ("p50_ms", Json::Num(p50)),
+                        ("p99_ms", Json::Num(p99)),
+                        ("max_ms", Json::Num(max)),
+                    ]);
+                    ((*cmd).to_string(), stats)
+                })
+                .collect(),
         )
     }
 }
@@ -189,6 +212,11 @@ mod tests {
     use super::*;
     use crate::proto;
 
+    fn served(m: &ServeMetrics, cmd: &str) -> u64 {
+        let i = SERVED.iter().position(|(name, _)| *name == cmd).unwrap();
+        m.served[i].get()
+    }
+
     #[test]
     fn served_and_rejected_tallies_are_exact() {
         let m = ServeMetrics::new();
@@ -200,15 +228,23 @@ mod tests {
         m.record_rejected(proto::CODE_OVERLOADED);
         m.record_rejected(proto::CODE_OVERLOADED);
         m.record_rejected(proto::CODE_BAD_REQUEST);
-        assert_eq!(m.served_score.load(Ordering::Relaxed), 3);
-        assert_eq!(m.served_search.load(Ordering::Relaxed), 1);
-        assert_eq!(m.served_pareto.load(Ordering::Relaxed), 1);
+        m.record_rejected(proto::CODE_INTERNAL);
+        assert_eq!(served(&m, "score"), 3);
+        assert_eq!(served(&m, "search"), 1);
+        assert_eq!(served(&m, "pareto"), 1);
         assert_eq!(m.latency_stats("pareto").0, 1);
-        assert_eq!(m.rejected_overloaded.load(Ordering::Relaxed), 2);
-        assert_eq!(m.rejected_malformed.load(Ordering::Relaxed), 1);
+        let rejected: Vec<u64> = m.rejected.iter().map(Counter::get).collect();
+        assert_eq!(rejected, [2, 1, 0, 0, 0, 1]);
         let (count, p50, p99, max) = m.latency_stats("score");
         assert_eq!(count, 3);
         assert!(p50 > 0.0 && p50 <= p99 && p99 <= max);
+    }
+
+    #[test]
+    fn every_timed_command_is_a_served_command() {
+        for (cmd, _) in TIMED {
+            assert!(SERVED.iter().any(|(name, _)| *name == cmd), "{cmd}");
+        }
     }
 
     #[test]
@@ -217,6 +253,6 @@ mod tests {
         m.record_queue_depth(3);
         m.record_queue_depth(7);
         m.record_queue_depth(1);
-        assert_eq!(m.queue_peak.load(Ordering::Relaxed), 7);
+        assert_eq!(m.queue_peak(), 7);
     }
 }

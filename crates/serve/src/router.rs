@@ -51,11 +51,13 @@
 //! the CLI can join fleet-spawned worker processes.
 
 use crate::json::Json;
-use crate::metrics::ServeMetrics;
+use crate::metrics::{count, ServeMetrics, REJECTED, SERVED};
 use crate::proto::{
     read_frame, Command, Frame, Request, Response, CODE_BAD_REQUEST, CODE_OK, CODE_SHUTTING_DOWN,
     MAX_FRAME_BYTES,
 };
+use hsconas_ckpt::fnv1a;
+use hsconas_telemetry::Counter;
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -69,23 +71,12 @@ use std::time::{Duration, Instant};
 /// fleet sizes this serves (2–16) while the ring stays a few KiB.
 pub const VNODES_PER_SHARD: usize = 64;
 
-/// FNV-1a 64-bit — the workspace's standard content hash (checkpoint
-/// checksums, genome fingerprints). Stable across platforms and builds,
-/// which is what makes ring placement restart-stable.
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Murmur3's 64-bit finalizer. FNV-1a alone diffuses tail-byte changes
-/// poorly into the high bits, which is exactly what ring *ordering* keys
-/// on — without this, the vnodes of one shard cluster and shard load
-/// skews past 10×. Pure arithmetic, so just as restart-stable as FNV.
+/// Murmur3's 64-bit finalizer. FNV-1a ([`fnv1a`], the workspace's
+/// standard content hash, stable across platforms and builds) alone
+/// diffuses tail-byte changes poorly into the high bits, which is exactly
+/// what ring *ordering* keys on — without this, the vnodes of one shard
+/// cluster and shard load skews past 10×. Pure arithmetic, so just as
+/// restart-stable as FNV.
 #[must_use]
 pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;
@@ -114,10 +105,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(shards * vnodes);
         for s in 0..shards {
             for v in 0..vnodes {
-                points.push((
-                    mix64(fnv1a_64(format!("shard:{s}:vnode:{v}").as_bytes())),
-                    s,
-                ));
+                points.push((mix64(fnv1a(format!("shard:{s}:vnode:{v}").as_bytes())), s));
             }
         }
         points.sort_unstable();
@@ -185,7 +173,7 @@ pub fn device_set_key(devices: &[String], target_ms: f64) -> u64 {
         keyed.push(0xff); // separator: device names never contain 0xff
     }
     keyed.extend_from_slice(&target_ms.to_bits().to_le_bytes());
-    fnv1a_64(&keyed)
+    fnv1a(&keyed)
 }
 
 /// Hash of `(canonical device, target_ms bits)`. Unknown device names hash
@@ -199,7 +187,7 @@ pub fn device_target_key(device: &str, target_ms: f64) -> u64 {
     keyed.extend_from_slice(name.as_bytes());
     keyed.push(0xff); // separator: device names never contain 0xff
     keyed.extend_from_slice(&target_ms.to_bits().to_le_bytes());
-    fnv1a_64(&keyed)
+    fnv1a(&keyed)
 }
 
 /// Hash of a wire-encoded genome, for `infer` routing.
@@ -209,7 +197,7 @@ pub fn arch_route_key(arch: &[usize]) -> u64 {
     for &gene in arch {
         bytes.extend_from_slice(&(gene as u64).to_le_bytes());
     }
-    fnv1a_64(&bytes)
+    fnv1a(&bytes)
 }
 
 /// Router configuration.
@@ -256,12 +244,12 @@ pub struct ShardState {
     /// Last health-probe / forward outcome.
     healthy: AtomicBool,
     /// Requests routed to this shard (attempts, including retries' firsts).
-    pub routed: AtomicU64,
+    pub routed: Counter,
     /// Forward attempts that failed once and were resent on a fresh
     /// connection.
-    pub retried: AtomicU64,
+    pub retried: Counter,
     /// Requests answered `503` because the resend failed too.
-    pub failed: AtomicU64,
+    pub failed: Counter,
 }
 
 impl ShardState {
@@ -269,9 +257,9 @@ impl ShardState {
         ShardState {
             addr,
             healthy: AtomicBool::new(true),
-            routed: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
+            routed: Counter::register("router.shards.routed"),
+            retried: Counter::register("router.shards.retried"),
+            failed: Counter::register("router.shards.failed"),
         }
     }
 
@@ -287,13 +275,14 @@ struct RouterShared {
     ring: HashRing,
     shards: Vec<ShardState>,
     draining: AtomicBool,
+    /// Forwards in progress: the drain gate, not a counter.
     in_flight: AtomicU64,
     started: Instant,
-    connections: AtomicU64,
-    malformed: AtomicU64,
-    rejected_draining: AtomicU64,
-    health_probes: AtomicU64,
-    health_failures: AtomicU64,
+    connections: Counter,
+    malformed: Counter,
+    rejected_draining: Counter,
+    health_probes: Counter,
+    health_failures: Counter,
     /// Router-side per-command latency histograms (measured around the
     /// full forward hop, so these are the client-visible SLO numbers).
     metrics: ServeMetrics,
@@ -353,11 +342,11 @@ impl Router {
                 draining: AtomicBool::new(false),
                 in_flight: AtomicU64::new(0),
                 started: Instant::now(),
-                connections: AtomicU64::new(0),
-                malformed: AtomicU64::new(0),
-                rejected_draining: AtomicU64::new(0),
-                health_probes: AtomicU64::new(0),
-                health_failures: AtomicU64::new(0),
+                connections: Counter::register("router.connections"),
+                malformed: Counter::register("router.malformed"),
+                rejected_draining: Counter::register("router.rejected_draining"),
+                health_probes: Counter::register("router.health.probes"),
+                health_failures: Counter::register("router.health.failures"),
                 metrics: ServeMetrics::new(),
             }),
         })
@@ -407,7 +396,7 @@ impl Router {
             // One-line frames; see the matching note in `server.rs` — the
             // router pays the Nagle stall twice (client hop + shard hop).
             let _ = stream.set_nodelay(true);
-            shared.connections.fetch_add(1, Ordering::Relaxed);
+            shared.connections.incr();
             let shared = Arc::clone(&shared);
             let _ = thread::Builder::new()
                 .name("route-conn".into())
@@ -492,7 +481,7 @@ fn handle_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
         match read_frame(&mut reader, MAX_FRAME_BYTES) {
             Err(_) | Ok(Frame::Eof) => break,
             Ok(Frame::Oversized) => {
-                shared.malformed.fetch_add(1, Ordering::Relaxed);
+                shared.malformed.incr();
                 send_response(&Response::fail(
                     "",
                     crate::proto::CODE_FRAME_TOO_LARGE,
@@ -505,7 +494,7 @@ fn handle_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
                 }
                 let request = match Request::decode(&line) {
                     Err(e) => {
-                        shared.malformed.fetch_add(1, Ordering::Relaxed);
+                        shared.malformed.incr();
                         send_response(&Response::fail(e.id.unwrap_or_default(), e.code, e.detail));
                         continue;
                     }
@@ -537,7 +526,7 @@ fn handle_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
                     },
                     Some(key) => {
                         if shared.draining.load(Ordering::Acquire) {
-                            shared.rejected_draining.fetch_add(1, Ordering::Relaxed);
+                            shared.rejected_draining.incr();
                             send_response(&Response::fail(
                                 request.id,
                                 CODE_SHUTTING_DOWN,
@@ -575,7 +564,7 @@ fn forward(
 ) -> Result<Vec<u8>, Response> {
     let shard = &shared.shards[shard_idx];
     let timeout = Duration::from_millis(shared.options.shard_timeout_ms.max(1));
-    shard.routed.fetch_add(1, Ordering::Relaxed);
+    shard.routed.incr();
     let started = Instant::now();
 
     fn attempt(
@@ -598,12 +587,12 @@ fn forward(
             // First failure: the pooled connection may simply be stale
             // (shard restarted since). Reconnect and resend once.
             pool.remove(&shard_idx);
-            shard.retried.fetch_add(1, Ordering::Relaxed);
+            shard.retried.incr();
             match attempt(pool, shard_idx, &shard.addr, timeout, line) {
                 Ok(bytes) => bytes,
                 Err(e) => {
                     pool.remove(&shard_idx);
-                    shard.failed.fetch_add(1, Ordering::Relaxed);
+                    shard.failed.incr();
                     shard.healthy.store(false, Ordering::Release);
                     shared.metrics.record_rejected(CODE_SHUTTING_DOWN);
                     return Err(Response::fail(
@@ -632,10 +621,10 @@ fn forward(
 /// One health sweep: a `status` round-trip per shard with a short timeout.
 fn probe_all(shared: &Arc<RouterShared>) {
     for shard in &shared.shards {
-        shared.health_probes.fetch_add(1, Ordering::Relaxed);
+        shared.health_probes.incr();
         let healthy = probe_status(&shard.addr, Duration::from_millis(2_000)).is_ok();
         if !healthy {
-            shared.health_failures.fetch_add(1, Ordering::Relaxed);
+            shared.health_failures.incr();
         }
         shard.healthy.store(healthy, Ordering::Release);
     }
@@ -685,8 +674,6 @@ fn sum_field(statuses: &[Option<Json>], path: [&str; 2]) -> u64 {
 /// fleet-wide served/rejected sums (the soak test's accounting source —
 /// `served + overloaded == sent` is checked against these).
 fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
-    let m = &shared.metrics;
-    let load = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
     let statuses: Vec<Option<Json>> = shared
         .shards
         .iter()
@@ -698,41 +685,18 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
         .collect();
     let healthy = statuses.iter().filter(|s| s.is_some()).count();
 
-    let served_cmds = [
-        "status",
-        "predict_latency",
-        "score",
-        "search",
-        "pareto",
-        "shutdown",
-        "infer",
-    ];
-    let rejected_kinds = [
-        "overloaded",
-        "malformed",
-        "oversized",
-        "unknown_device",
-        "shutting_down",
-        "internal",
-    ];
-    let fleet_served: Vec<(String, Json)> = served_cmds
-        .iter()
-        .map(|cmd| {
-            (
-                (*cmd).to_string(),
-                Json::Num(sum_field(&statuses, ["served", cmd]) as f64),
-            )
-        })
-        .collect();
-    let fleet_rejected: Vec<(String, Json)> = rejected_kinds
-        .iter()
-        .map(|kind| {
-            (
-                (*kind).to_string(),
-                Json::Num(sum_field(&statuses, ["rejected", kind]) as f64),
-            )
-        })
-        .collect();
+    // Fleet-wide sums of each shard's `served` / `rejected` objects.
+    let fleet_sums = |block: &str, table: &[(&str, &str)]| {
+        Json::Obj(
+            table
+                .iter()
+                .map(|(field, _)| {
+                    let sum = sum_field(&statuses, [block, field]);
+                    ((*field).to_string(), Json::Num(sum as f64))
+                })
+                .collect(),
+        )
+    };
 
     let shard_objs: Vec<Json> = shared
         .shards
@@ -742,9 +706,9 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
             let mut fields = vec![
                 ("addr", Json::Str(shard.addr.clone())),
                 ("healthy", Json::Bool(status.is_some())),
-                ("routed", load(&shard.routed)),
-                ("retried", load(&shard.retried)),
-                ("failed", load(&shard.failed)),
+                ("routed", count(&shard.routed)),
+                ("retried", count(&shard.retried)),
+                ("failed", count(&shard.failed)),
             ];
             if let Some(status) = status {
                 fields.push(("status", status.clone()));
@@ -753,30 +717,10 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
         })
         .collect();
 
-    let latency = |cmd: &str| {
-        let (count, p50, p99, max) = m.latency_stats(cmd);
-        Json::obj(vec![
-            ("count", Json::Num(count as f64)),
-            ("p50_ms", Json::Num(p50)),
-            ("p99_ms", Json::Num(p99)),
-            ("max_ms", Json::Num(max)),
-        ])
+    let total = |cell: fn(&ShardState) -> &Counter| {
+        let sum: u64 = shared.shards.iter().map(|s| cell(s).get()).sum();
+        Json::Num(sum as f64)
     };
-    let routed_total: u64 = shared
-        .shards
-        .iter()
-        .map(|s| s.routed.load(Ordering::Relaxed))
-        .sum();
-    let retried_total: u64 = shared
-        .shards
-        .iter()
-        .map(|s| s.retried.load(Ordering::Relaxed))
-        .sum();
-    let failed_total: u64 = shared
-        .shards
-        .iter()
-        .map(|s| s.failed.load(Ordering::Relaxed))
-        .sum();
 
     Json::obj(vec![
         (
@@ -784,8 +728,8 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
             Json::obj(vec![
                 ("workers", Json::Num(shared.shards.len() as f64)),
                 ("healthy", Json::Num(healthy as f64)),
-                ("served", Json::Obj(fleet_served)),
-                ("rejected", Json::Obj(fleet_rejected)),
+                ("served", fleet_sums("served", &SERVED)),
+                ("rejected", fleet_sums("rejected", &REJECTED)),
             ]),
         ),
         (
@@ -799,29 +743,20 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
                     "draining",
                     Json::Bool(shared.draining.load(Ordering::Acquire)),
                 ),
-                ("connections", load(&shared.connections)),
-                ("routed", Json::Num(routed_total as f64)),
-                ("retried", Json::Num(retried_total as f64)),
-                ("failed", Json::Num(failed_total as f64)),
-                ("malformed", load(&shared.malformed)),
-                ("rejected_draining", load(&shared.rejected_draining)),
+                ("connections", count(&shared.connections)),
+                ("routed", total(|s| &s.routed)),
+                ("retried", total(|s| &s.retried)),
+                ("failed", total(|s| &s.failed)),
+                ("malformed", count(&shared.malformed)),
+                ("rejected_draining", count(&shared.rejected_draining)),
                 (
                     "health",
                     Json::obj(vec![
-                        ("probes", load(&shared.health_probes)),
-                        ("failures", load(&shared.health_failures)),
+                        ("probes", count(&shared.health_probes)),
+                        ("failures", count(&shared.health_failures)),
                     ]),
                 ),
-                (
-                    "latency_ms",
-                    Json::obj(vec![
-                        ("predict_latency", latency("predict_latency")),
-                        ("score", latency("score")),
-                        ("search", latency("search")),
-                        ("pareto", latency("pareto")),
-                        ("infer", latency("infer")),
-                    ]),
-                ),
+                ("latency_ms", shared.metrics.latency_json()),
             ]),
         ),
         ("shards", Json::Arr(shard_objs)),
@@ -837,7 +772,7 @@ mod tests {
         let a = HashRing::new(4, VNODES_PER_SHARD);
         let b = HashRing::new(4, VNODES_PER_SHARD);
         for i in 0..10_000u64 {
-            let key = fnv1a_64(&i.to_le_bytes());
+            let key = fnv1a(&i.to_le_bytes());
             assert_eq!(a.shard_for(key), b.shard_for(key));
         }
     }
@@ -850,7 +785,7 @@ mod tests {
         let keys = 20_000u64;
         let mut moved = 0usize;
         for i in 0..keys {
-            let key = fnv1a_64(&i.to_le_bytes());
+            let key = fnv1a(&i.to_le_bytes());
             let (was, now) = (before.shard_for(key), after.shard_for(key));
             if was != now {
                 // Consistency: a moved key may only move TO the new shard.
@@ -873,7 +808,7 @@ mod tests {
         let mut counts = vec![0usize; n];
         let keys = 30_000u64;
         for i in 0..keys {
-            counts[ring.shard_for(fnv1a_64(&i.to_le_bytes()))] += 1;
+            counts[ring.shard_for(fnv1a(&i.to_le_bytes()))] += 1;
         }
         let (min, max) = (
             *counts.iter().min().unwrap() as f64,

@@ -39,7 +39,7 @@
 //! response lines.
 
 use crate::json::Json;
-use crate::metrics::ServeMetrics;
+use crate::metrics::{count, ServeMetrics};
 use crate::proto::{
     read_frame, Command, Frame, Request, Response, CODE_INTERNAL, CODE_OK, CODE_SHUTTING_DOWN,
     CODE_UNKNOWN_DEVICE, MAX_FRAME_BYTES,
@@ -258,7 +258,7 @@ impl Server {
             // One-line frames; without TCP_NODELAY the Nagle/delayed-ACK
             // interaction costs ~40 ms per request on loopback.
             let _ = stream.set_nodelay(true);
-            shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.connections.incr();
             let shared = Arc::clone(&shared);
             // Detached: a connection blocked in read must not block drain.
             let _ = thread::Builder::new()
@@ -471,10 +471,7 @@ fn infer_inline(
         Err(detail) => return Response::fail(id, crate::proto::CODE_BAD_REQUEST, detail),
     };
     if cached {
-        shared
-            .metrics
-            .infer_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
+        shared.metrics.infer_cache_hits.incr();
     }
     let g = &artifact.graph;
     let mut rng = hsconas_tensor::rng::SmallRng::new(input_seed);
@@ -530,12 +527,11 @@ fn table_lookup<'a>(
         let fingerprint = crate::router::arch_route_key(&arch.encode());
         table.get(fingerprint).map(|entry| (idx, entry))
     });
-    let counter = if hit.is_some() {
-        &shared.metrics.table_hits
+    if hit.is_some() {
+        shared.metrics.table_hits.incr();
     } else {
-        &shared.metrics.table_misses
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.table_misses.incr();
+    }
     hit
 }
 
@@ -712,11 +708,8 @@ fn compatible(a: &EvalJob, b: &EvalJob) -> bool {
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(batch) = shared.queue.pop_batch(shared.batch_max, compatible) {
         shared.metrics.record_queue_depth(shared.queue.len());
-        shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .batched_jobs
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        shared.metrics.batches.incr();
+        shared.metrics.batched_jobs.add(batch.len() as u64);
         if shared.slow_eval_ms > 0 {
             thread::sleep(Duration::from_millis(shared.slow_eval_ms));
         }
@@ -951,16 +944,6 @@ fn respond_evaluated(shared: &Arc<Shared>, job: &EvalJob, response: Response) {
 
 fn build_status(shared: &Arc<Shared>) -> Json {
     let m = &shared.metrics;
-    let load = |c: &std::sync::atomic::AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
-    let latency = |cmd: &str| {
-        let (count, p50, p99, max) = m.latency_stats(cmd);
-        Json::obj(vec![
-            ("count", Json::Num(count as f64)),
-            ("p50_ms", Json::Num(p50)),
-            ("p99_ms", Json::Num(p99)),
-            ("max_ms", Json::Num(max)),
-        ])
-    };
     let devices: Vec<(String, Json)> = shared
         .state
         .loaded()
@@ -982,13 +965,13 @@ fn build_status(shared: &Arc<Shared>) -> Json {
                     "cached_evaluations",
                     Json::Num(device.cached_evaluations() as f64),
                 ),
-                ("reloads_ok", load(&device.reloads_ok)),
-                ("reloads_rejected", load(&device.reloads_rejected)),
+                ("reloads_ok", count(&device.reloads_ok)),
+                ("reloads_rejected", count(&device.reloads_rejected)),
                 (
                     "spill",
                     Json::obj(vec![
-                        ("loaded", load(&device.spill_loaded)),
-                        ("written", load(&device.spill_written)),
+                        ("loaded", count(&device.spill_loaded)),
+                        ("written", count(&device.spill_written)),
                     ]),
                 ),
             ]);
@@ -1010,50 +993,20 @@ fn build_status(shared: &Arc<Shared>) -> Json {
             Json::obj(vec![
                 ("depth", Json::Num(shared.queue.len() as f64)),
                 ("capacity", Json::Num(shared.queue.capacity() as f64)),
-                ("peak", load(&m.queue_peak)),
+                ("peak", Json::Num(m.queue_peak() as f64)),
             ]),
         ),
-        ("connections", load(&m.connections)),
-        (
-            "served",
-            Json::obj(vec![
-                ("status", load(&m.served_status)),
-                ("predict_latency", load(&m.served_predict)),
-                ("score", load(&m.served_score)),
-                ("search", load(&m.served_search)),
-                ("pareto", load(&m.served_pareto)),
-                ("shutdown", load(&m.served_shutdown)),
-                ("infer", load(&m.served_infer)),
-            ]),
-        ),
-        (
-            "rejected",
-            Json::obj(vec![
-                ("overloaded", load(&m.rejected_overloaded)),
-                ("malformed", load(&m.rejected_malformed)),
-                ("oversized", load(&m.rejected_oversized)),
-                ("unknown_device", load(&m.rejected_unknown_device)),
-                ("shutting_down", load(&m.rejected_shutting_down)),
-                ("internal", load(&m.internal_errors)),
-            ]),
-        ),
+        ("connections", count(&m.connections)),
+        ("served", m.served_json()),
+        ("rejected", m.rejected_json()),
         (
             "batching",
             Json::obj(vec![
-                ("batches", load(&m.batches)),
-                ("batched_jobs", load(&m.batched_jobs)),
+                ("batches", count(&m.batches)),
+                ("batched_jobs", count(&m.batched_jobs)),
             ]),
         ),
-        (
-            "latency_ms",
-            Json::obj(vec![
-                ("predict_latency", latency("predict_latency")),
-                ("score", latency("score")),
-                ("search", latency("search")),
-                ("pareto", latency("pareto")),
-                ("infer", latency("infer")),
-            ]),
-        ),
+        ("latency_ms", m.latency_json()),
         (
             // The precomputed `.hsbt` fast path for predict_latency/score.
             "bench_table",
@@ -1072,8 +1025,8 @@ fn build_status(shared: &Arc<Shared>) -> Json {
                                 .collect(),
                         ),
                     ),
-                    ("hits", load(&m.table_hits)),
-                    ("misses", load(&m.table_misses)),
+                    ("hits", count(&m.table_hits)),
+                    ("misses", count(&m.table_misses)),
                 ]),
             },
         ),
@@ -1082,7 +1035,7 @@ fn build_status(shared: &Arc<Shared>) -> Json {
             "graphs",
             Json::obj(vec![
                 ("cached", Json::Num(shared.state.graphs_cached() as f64)),
-                ("cache_hits", load(&m.infer_cache_hits)),
+                ("cache_hits", count(&m.infer_cache_hits)),
             ]),
         ),
         ("devices", Json::Obj(devices)),
@@ -1132,4 +1085,138 @@ fn build_status(shared: &Arc<Shared>) -> Json {
             },
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::{REJECTED, SERVED};
+    use crate::Client;
+
+    fn field(status: &Json, path: &[&str]) -> u64 {
+        path.iter()
+            .try_fold(status, |json, key| json.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("status has no number at {path:?}"))
+    }
+
+    /// `status` is a view of this server's registry cells: a mix of served
+    /// and rejected requests lands in exactly the handles `status` prints,
+    /// the registry lists each under its key, and the tallies add up to
+    /// what was sent.
+    #[test]
+    fn status_counters_are_the_registry_handles() {
+        let server = Server::bind(ServeOptions::default()).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr();
+        let daemon = thread::spawn(move || server.run());
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let arch = shared
+            .state
+            .device("edge")
+            .unwrap()
+            .space
+            .sample(&mut rng)
+            .encode();
+        let arch = format!("{arch:?}").replace(' ', "");
+        let oversized = format!("{{\"pad\":\"{}\"}}", "x".repeat(MAX_FRAME_BYTES + 1));
+        let requests = [
+            r#"{"id":"a","cmd":"status"}"#.to_string(),
+            format!(r#"{{"id":"b","cmd":"predict_latency","device":"edge","arch":{arch}}}"#),
+            format!(r#"{{"id":"c","cmd":"score","device":"edge","target_ms":24,"arch":{arch}}}"#),
+            format!(r#"{{"id":"d","cmd":"score","device":"edge","target_ms":24,"arch":{arch}}}"#),
+            r#"{"id":"e","cmd":"search","device":"edge","target_ms":24,"seed":3}"#.to_string(),
+            r#"{"id":"f","cmd":"infer","arch":[0,9,0,9,0,9,0,9],"input_seed":1,"batch":1}"#
+                .to_string(),
+            r#"{"id":"g","cmd":"infer","arch":[0,9,0,9,0,9,0,9],"input_seed":2,"batch":1}"#
+                .to_string(),
+            "not json".to_string(),
+            format!(r#"{{"id":"h","cmd":"score","device":"tpu","target_ms":24,"arch":{arch}}}"#),
+            r#"{"id":"i","cmd":"search","device":"edge","target_ms":-1,"seed":3}"#.to_string(),
+            oversized,
+        ];
+        let mut client = Client::connect(addr).unwrap();
+        for line in &requests {
+            client.call_raw(line).unwrap();
+        }
+
+        let m = &shared.metrics;
+        let status = build_status(&shared);
+        for (i, (name, _)) in SERVED.iter().enumerate() {
+            assert_eq!(
+                field(&status, &["served", name]),
+                m.served[i].get(),
+                "{name}"
+            );
+        }
+        for (i, (kind, _)) in REJECTED.iter().enumerate() {
+            assert_eq!(
+                field(&status, &["rejected", kind]),
+                m.rejected[i].get(),
+                "{kind}"
+            );
+        }
+        let singles = [
+            (&["connections"][..], &m.connections),
+            (&["batching", "batches"], &m.batches),
+            (&["batching", "batched_jobs"], &m.batched_jobs),
+            (&["graphs", "cache_hits"], &m.infer_cache_hits),
+        ];
+        for (path, cell) in singles {
+            assert_eq!(field(&status, path), cell.get(), "{path:?}");
+        }
+        let device = shared.state.device("edge").unwrap();
+        let device_cells = [
+            (&["reloads_ok"][..], &device.reloads_ok),
+            (&["reloads_rejected"], &device.reloads_rejected),
+            (&["spill", "loaded"], &device.spill_loaded),
+            (&["spill", "written"], &device.spill_written),
+        ];
+        let edge = status
+            .get("devices")
+            .and_then(|d| d.get("edge-xavier"))
+            .unwrap();
+        for (path, cell) in device_cells {
+            assert_eq!(field(edge, path), cell.get(), "{path:?}");
+        }
+        assert_eq!(field(&status, &["queue", "peak"]), m.queue_peak());
+        assert_eq!(
+            m.infer_cache_hits.get(),
+            1,
+            "the second infer hits the cache"
+        );
+
+        // The registry sums every daemon's cells per key; this daemon's
+        // count is a lower bound on each total.
+        let snapshot = hsconas_telemetry::snapshot();
+        let total = |key: &str| {
+            snapshot
+                .counters
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or(0, |(_, v)| *v)
+        };
+        let cells = SERVED
+            .iter()
+            .zip(&m.served)
+            .chain(REJECTED.iter().zip(&m.rejected));
+        for ((_, key), cell) in cells {
+            assert_eq!(cell.key(), *key);
+            assert!(total(key) >= cell.get(), "{key} missing from the registry");
+        }
+
+        let wire = client.status().unwrap().result.unwrap();
+        let sum = |block: &str| -> u64 {
+            match wire.get(block) {
+                Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
+                _ => panic!("status has no {block} object"),
+            }
+        };
+        assert_eq!(sum("served"), 7);
+        assert_eq!(sum("served") + sum("rejected"), requests.len() as u64);
+
+        client.shutdown().unwrap();
+        daemon.join().unwrap().unwrap();
+    }
 }

@@ -43,6 +43,7 @@ use hsconas_evo::{tradeoff_score, Evaluation, EvoError, SharedEvalCache};
 use hsconas_hwsim::DeviceSpec;
 use hsconas_latency::{LatencyPredictor, PredictorSnapshot};
 use hsconas_space::{Arch, SearchSpace};
+use hsconas_telemetry::Counter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -244,13 +245,13 @@ pub struct DeviceState {
     snapshot_path: Option<PathBuf>,
     snapshot_mtime: Mutex<Option<SystemTime>>,
     /// Successful hot reloads.
-    pub reloads_ok: AtomicU64,
+    pub reloads_ok: Counter,
     /// Snapshot files refused by validation (stale/foreign/corrupt).
-    pub reloads_rejected: AtomicU64,
+    pub reloads_rejected: Counter,
     /// Evaluations preloaded from spill files into fresh caches.
-    pub spill_loaded: AtomicU64,
+    pub spill_loaded: Counter,
     /// New evaluations written out to spill files.
-    pub spill_written: AtomicU64,
+    pub spill_written: Counter,
 }
 
 impl DeviceState {
@@ -287,8 +288,7 @@ impl DeviceState {
                     let path = spill_path(dir, &self.name, key.1, generation);
                     if let Some(entries) = read_spill(&path, &self.name, key.1, generation) {
                         on_disk = entries.len();
-                        self.spill_loaded
-                            .fetch_add(on_disk as u64, Ordering::Relaxed);
+                        self.spill_loaded.add(on_disk as u64);
                         cache.import_entries(entries);
                     }
                 }
@@ -356,8 +356,7 @@ impl DeviceState {
                 ),
             }
         }
-        self.spill_written
-            .fetch_add(written as u64, Ordering::Relaxed);
+        self.spill_written.add(written as u64);
         written
     }
 
@@ -478,7 +477,7 @@ impl DeviceState {
                 // generation's filename).
                 lock(&self.caches).clear();
                 lock(&self.spill_meta).clear();
-                self.reloads_ok.fetch_add(1, Ordering::Relaxed);
+                self.reloads_ok.incr();
                 eprintln!(
                     "hsconas-serve: reloaded predictor snapshot for {} from {}",
                     self.name,
@@ -486,7 +485,7 @@ impl DeviceState {
                 );
             }
             Err(detail) => {
-                self.reloads_rejected.fetch_add(1, Ordering::Relaxed);
+                self.reloads_rejected.incr();
                 eprintln!(
                     "hsconas-serve: REFUSED predictor snapshot for {} from {}: {detail}",
                     self.name,
@@ -550,7 +549,7 @@ fn predictor_generation(predictor: &LatencyPredictor) -> u64 {
         canon.push_str(line);
         canon.push('\n');
     }
-    crate::router::fnv1a_64(canon.as_bytes())
+    hsconas_ckpt::fnv1a(canon.as_bytes())
 }
 
 /// Spill-file path for one `(device, target, generation)` cache. All
@@ -795,10 +794,10 @@ impl WarmState {
             spill_dir: self.options.state_dir.as_ref().map(|d| d.join("spill")),
             snapshot_path,
             snapshot_mtime: Mutex::new(mtime),
-            reloads_ok: AtomicU64::new(0),
-            reloads_rejected: AtomicU64::new(0),
-            spill_loaded: AtomicU64::new(0),
-            spill_written: AtomicU64::new(0),
+            reloads_ok: Counter::register("serve.devices.reloads_ok"),
+            reloads_rejected: Counter::register("serve.devices.reloads_rejected"),
+            spill_loaded: Counter::register("serve.devices.spill.loaded"),
+            spill_written: Counter::register("serve.devices.spill.written"),
         })
     }
 
@@ -942,14 +941,14 @@ mod tests {
         state.poll_reload();
         let (_, bias_after) = device.predictor_stats();
         assert_eq!(device.version(), 1);
-        assert_eq!(device.reloads_ok.load(Ordering::Relaxed), 1);
+        assert_eq!(device.reloads_ok.get(), 1);
         assert!((bias_after - bias_before - 500.0).abs() < 1e-9);
 
         // Corrupt the file: must be refused, predictor unchanged.
         bump_mtime(&path, "{ not json");
         state.poll_reload();
         assert_eq!(device.version(), 1, "rejected reload must not bump version");
-        assert_eq!(device.reloads_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(device.reloads_rejected.get(), 1);
         let (_, bias_kept) = device.predictor_stats();
         assert_eq!(bias_kept.to_bits(), bias_after.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1004,7 +1003,7 @@ mod tests {
             // path must.
             assert_eq!(device.spill_tick(), 0);
             assert_eq!(device.spill_all(), 5);
-            assert_eq!(device.spill_written.load(Ordering::Relaxed), 5);
+            assert_eq!(device.spill_written.get(), 5);
             assert_eq!(device.spill_all(), 0, "nothing new since last spill");
             evals
         };
@@ -1015,7 +1014,7 @@ mod tests {
         let device = state.device("edge").unwrap();
         let ctx = device.eval_context(24.0);
         assert_eq!(ctx.cache.len(), 5, "fresh cache must preload the spill");
-        assert_eq!(device.spill_loaded.load(Ordering::Relaxed), 5);
+        assert_eq!(device.spill_loaded.get(), 5);
         for (seed, before) in evals.iter().enumerate() {
             let after = evaluate_one(&device, &ctx, seed as u64);
             assert_eq!(before.score.to_bits(), after.score.to_bits());

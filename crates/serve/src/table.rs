@@ -11,16 +11,9 @@
 //!
 //! ## Envelope
 //!
-//! Reuses the `.hsart` atomic-write + FNV-envelope idiom:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "HSBT"
-//! 4       4     format version (u32 LE), currently 1
-//! 8       8     payload length (u64 LE)
-//! 16      8     FNV-1a checksum of the payload (u64 LE)
-//! 24      …     payload (hsconas-ckpt Encoder stream)
-//! ```
+//! The [`hsconas_ckpt::envelope`] header shared with `.hsart`, with magic
+//! "HSBT" and format version 1, around an hsconas-ckpt Encoder stream,
+//! written atomically.
 //!
 //! Loading is strict: wrong magic, a foreign version, a truncated or
 //! padded payload, a checksum mismatch, or trailing payload bytes all
@@ -29,13 +22,12 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use hsconas_ckpt::{fnv1a, write_atomic_bytes, Decoder, Encoder};
+use hsconas_ckpt::{envelope, write_atomic_bytes, Decoder, Encoder};
 
 /// Table envelope magic.
 pub const MAGIC: [u8; 4] = *b"HSBT";
 /// Current table format version.
 pub const FORMAT_VERSION: u32 = 1;
-const HEADER_LEN: usize = 24;
 
 /// One device column of the table.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,13 +146,7 @@ impl BenchTable {
         }
         let payload = e.finish();
 
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes
+        envelope::seal(MAGIC, FORMAT_VERSION, &payload)
     }
 
     /// Parses a table, rejecting any malformed envelope or payload.
@@ -169,41 +155,7 @@ impl BenchTable {
     ///
     /// Returns a message naming the first defect found.
     pub fn from_bytes(bytes: &[u8]) -> Result<BenchTable, String> {
-        if bytes.len() < HEADER_LEN {
-            return Err(format!(
-                "file is {} bytes, smaller than the {HEADER_LEN}-byte header",
-                bytes.len()
-            ));
-        }
-        if bytes[0..4] != MAGIC {
-            return Err(format!(
-                "bad magic {:02x?}, expected {:02x?} (\"HSBT\")",
-                &bytes[0..4],
-                MAGIC
-            ));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(format!(
-                "format version {version} is not supported (this build reads version {FORMAT_VERSION})"
-            ));
-        }
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != payload_len {
-            return Err(format!(
-                "payload is {} bytes but the header promises {payload_len} (truncated or padded file)",
-                payload.len()
-            ));
-        }
-        let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-        let actual = fnv1a(payload);
-        if checksum != actual {
-            return Err(format!(
-                "payload checksum {actual:#018x} does not match header {checksum:#018x} (corrupted file)"
-            ));
-        }
-
+        let payload = envelope::open(MAGIC, FORMAT_VERSION, bytes)?;
         let mut d = Decoder::new(payload);
         let table = decode_payload(&mut d)?;
         d.expect_end().map_err(|e| e.to_string())?;

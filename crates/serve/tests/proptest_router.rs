@@ -3,9 +3,8 @@
 //! hold for arbitrary fleet sizes, vnode counts, and keys — not just the
 //! handful exercised by the unit tests.
 
-use hsconas_serve::router::{
-    arch_route_key, device_target_key, fnv1a_64, HashRing, VNODES_PER_SHARD,
-};
+use hsconas_ckpt::fnv1a;
+use hsconas_serve::router::{arch_route_key, device_target_key, HashRing, VNODES_PER_SHARD};
 use proptest::prelude::*;
 
 proptest! {
@@ -40,7 +39,7 @@ proptest! {
         let keys = 4_096u64;
         let mut moved = 0usize;
         for i in 0..keys {
-            let key = fnv1a_64(&(key_seed ^ i).to_le_bytes());
+            let key = fnv1a(&(key_seed ^ i).to_le_bytes());
             let (was, now) = (before.shard_for(key), after.shard_for(key));
             if was != now {
                 prop_assert_eq!(now, shards, "keys may only move to the new shard");

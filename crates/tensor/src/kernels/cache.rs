@@ -57,8 +57,9 @@
 //! steady-state alloc-budget gate green with the cache enabled.
 
 use super::pack::{pack_a, pack_b, Layout};
+use hsconas_telemetry::Counter;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default byte budget for cached packed panels (64 MiB).
@@ -172,29 +173,30 @@ struct CacheState {
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static BUDGET: AtomicUsize = AtomicUsize::new(DEFAULT_BUDGET_BYTES);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
 
 fn state() -> &'static Mutex<CacheState> {
     static STATE: OnceLock<Mutex<CacheState>> = OnceLock::new();
     STATE.get_or_init(|| Mutex::new(CacheState::default()))
 }
 
-/// Telemetry mirrors (`kernel.pack_cache.*`), registered once like the
-/// dispatch counters in [`super`].
-fn telemetry_counters() -> &'static [hsconas_telemetry::Counter; 4] {
-    static CELLS: OnceLock<[hsconas_telemetry::Counter; 4]> = OnceLock::new();
+/// Hit/miss/evict/invalidate counters (`kernel.pack_cache.*`), registered
+/// once like the dispatch counters in [`super`]; [`stats`] reads them.
+fn counters() -> &'static [Counter; 4] {
+    static CELLS: OnceLock<[Counter; 4]> = OnceLock::new();
     CELLS.get_or_init(|| {
         [
-            hsconas_telemetry::Counter::register("kernel.pack_cache.hit"),
-            hsconas_telemetry::Counter::register("kernel.pack_cache.miss"),
-            hsconas_telemetry::Counter::register("kernel.pack_cache.evict"),
-            hsconas_telemetry::Counter::register("kernel.pack_cache.invalidate"),
+            Counter::register("kernel.pack_cache.hit"),
+            Counter::register("kernel.pack_cache.miss"),
+            Counter::register("kernel.pack_cache.evict"),
+            Counter::register("kernel.pack_cache.invalidate"),
         ]
     })
 }
+
+const HIT: usize = 0;
+const MISS: usize = 1;
+const EVICT: usize = 2;
+const INVALIDATE: usize = 3;
 
 /// Enables or disables the cache process-wide. Disabling does not drop
 /// existing entries (use [`clear`]); it makes every lookup a pass-through
@@ -255,11 +257,12 @@ impl PackCacheStats {
 /// Snapshot of the cache counters and occupancy.
 pub fn stats() -> PackCacheStats {
     let s = lock_state();
+    let c = counters();
     PackCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-        invalidations: INVALIDATIONS.load(Ordering::Relaxed),
+        hits: c[HIT].get(),
+        misses: c[MISS].get(),
+        evictions: c[EVICT].get(),
+        invalidations: c[INVALIDATE].get(),
         entries: s.map.len(),
         bytes: s.bytes,
     }
@@ -486,8 +489,7 @@ fn lookup_or_insert(
         match s.map.get_mut(&key) {
             Some(e) if e.version == tag.version && e.mask_sig == tag.mask_sig => {
                 e.tick = next_tick;
-                HITS.fetch_add(1, Ordering::Relaxed);
-                telemetry_counters()[0].add(1);
+                counters()[HIT].incr();
                 return Arc::clone(&e.packed);
             }
             Some(_) => {
@@ -495,13 +497,9 @@ fn lookup_or_insert(
                 // packed. Drop it; the rebuild below replaces it.
                 let e = s.map.remove(&key).expect("entry present");
                 s.bytes -= e.packed.bytes();
-                INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
-                telemetry_counters()[3].add(1);
+                counters()[INVALIDATE].incr();
             }
-            None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                telemetry_counters()[1].add(1);
-            }
+            None => counters()[MISS].incr(),
         }
     }
     // Pack outside the lock: misses on distinct weights from concurrent
@@ -535,8 +533,7 @@ fn lookup_or_insert(
             Some(victim) => {
                 let e = s.map.remove(&victim).expect("victim present");
                 s.bytes -= e.packed.bytes();
-                EVICTIONS.fetch_add(1, Ordering::Relaxed);
-                telemetry_counters()[2].add(1);
+                counters()[EVICT].incr();
             }
             None => break,
         }

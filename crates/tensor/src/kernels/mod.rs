@@ -42,10 +42,9 @@
 //! `direct`, `auto`) picks the variant, `HSCONAS_KERNEL_THREADS` (a
 //! worker count, `0`, or `auto`) pins the band worker count. Every call
 //! increments a per-variant dispatch counter plus a parallel/serial path
-//! counter, mirrored onto the telemetry registry as `kernel.dispatch.*`
-//! and `kernel.gemm.*` so benchmark numbers are attributable to the
-//! kernel and decomposition that actually ran (`hsconas report`, serve
-//! `status`).
+//! counter, registry cells keyed `kernel.dispatch.*` and `kernel.gemm.*`,
+//! so benchmark numbers are attributable to the kernel and decomposition
+//! that actually ran (`hsconas report`, serve `status`).
 //!
 //! Determinism contract: for a fixed variant the accumulation order is a
 //! pure function of `(op, m, k, n)` — fixed blocking, fixed panel walk,
@@ -61,8 +60,9 @@
 //! module, give [`Variant`] a `Neon` arm, and teach [`select`] to probe
 //! it; nothing else changes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+use hsconas_telemetry::Counter;
 
 use crate::scratch::with_scratch;
 
@@ -370,7 +370,14 @@ fn auto_band_threads(class: ShapeClass, m: usize, k: usize, n: usize) -> usize {
 /// steer the kernels that matter without pessimizing the long tail of
 /// small products.
 pub fn select(m: usize, k: usize, n: usize) -> Selection {
-    let class = classify(m, k, n);
+    select_class(classify(m, k, n), m, k, n)
+}
+
+/// [`select`] for an already classified problem: the one place the
+/// Tiny/Skinny → `Direct` rule and the band worker count are decided.
+/// `class` may come from a different (reference) shape than `(m, k, n)`,
+/// which only feeds the band worker count ([`gemm_pinned`]).
+fn select_class(class: ShapeClass, m: usize, k: usize, n: usize) -> Selection {
     let variant = match class {
         ShapeClass::Tiny | ShapeClass::Skinny => Variant::Direct,
         _ => selected_variant(),
@@ -391,48 +398,30 @@ pub fn select(m: usize, k: usize, n: usize) -> Selection {
 // ---------------------------------------------------------------------------
 // dispatch counters
 
-static CALLS_DIRECT: AtomicU64 = AtomicU64::new(0);
-static CALLS_SCALAR: AtomicU64 = AtomicU64::new(0);
-static CALLS_AVX2: AtomicU64 = AtomicU64::new(0);
-static CALLS_SERIAL: AtomicU64 = AtomicU64::new(0);
-static CALLS_PARALLEL: AtomicU64 = AtomicU64::new(0);
-
-/// Telemetry mirrors of the dispatch counters. The registry is compiled
-/// unconditionally (counters are functional API, like the cache hit
-/// counters), so no feature gate is needed here; snapshots flush these as
-/// `kernel.dispatch.*` events whenever a sink is installed.
-fn telemetry_counters() -> &'static [hsconas_telemetry::Counter; 3] {
-    static CELLS: OnceLock<[hsconas_telemetry::Counter; 3]> = OnceLock::new();
+/// Per-variant dispatch counters (`kernel.dispatch.*`), indexed by
+/// `Variant as usize`. The registry cells are the only store: the
+/// registry is compiled unconditionally, so [`dispatch_counts`] reads
+/// them in every build.
+fn dispatch_counters() -> &'static [Counter; 3] {
+    static CELLS: OnceLock<[Counter; 3]> = OnceLock::new();
     CELLS.get_or_init(|| {
         [
-            hsconas_telemetry::Counter::register("kernel.dispatch.direct"),
-            hsconas_telemetry::Counter::register("kernel.dispatch.scalar"),
-            hsconas_telemetry::Counter::register("kernel.dispatch.avx2"),
+            Counter::register("kernel.dispatch.direct"),
+            Counter::register("kernel.dispatch.scalar"),
+            Counter::register("kernel.dispatch.avx2"),
         ]
     })
 }
 
-/// Telemetry mirrors of the packed-driver decomposition counters
-/// (`kernel.gemm.{serial,parallel}`).
-fn band_telemetry() -> &'static [hsconas_telemetry::Counter; 2] {
-    static CELLS: OnceLock<[hsconas_telemetry::Counter; 2]> = OnceLock::new();
+/// Packed-driver decomposition counters (`kernel.gemm.{serial,parallel}`).
+fn band_counters() -> &'static [Counter; 2] {
+    static CELLS: OnceLock<[Counter; 2]> = OnceLock::new();
     CELLS.get_or_init(|| {
         [
-            hsconas_telemetry::Counter::register("kernel.gemm.serial"),
-            hsconas_telemetry::Counter::register("kernel.gemm.parallel"),
+            Counter::register("kernel.gemm.serial"),
+            Counter::register("kernel.gemm.parallel"),
         ]
     })
-}
-
-#[inline]
-fn count_dispatch(variant: Variant) {
-    let (cell, tc) = match variant {
-        Variant::Direct => (&CALLS_DIRECT, 0),
-        Variant::Scalar => (&CALLS_SCALAR, 1),
-        Variant::Avx2 => (&CALLS_AVX2, 2),
-    };
-    cell.fetch_add(1, Ordering::Relaxed);
-    telemetry_counters()[tc].add(1);
 }
 
 /// Per-variant totals of GEMM calls executed by this process.
@@ -448,10 +437,11 @@ pub struct DispatchCounts {
 
 /// Snapshot of the dispatch counters (serve `status`, reports, tests).
 pub fn dispatch_counts() -> DispatchCounts {
+    let [direct, scalar, avx2] = dispatch_counters();
     DispatchCounts {
-        direct: CALLS_DIRECT.load(Ordering::Relaxed),
-        scalar: CALLS_SCALAR.load(Ordering::Relaxed),
-        avx2: CALLS_AVX2.load(Ordering::Relaxed),
+        direct: direct.get(),
+        scalar: scalar.get(),
+        avx2: avx2.get(),
     }
 }
 
@@ -467,9 +457,10 @@ pub struct ParallelCounts {
 
 /// Snapshot of the decomposition counters (serve `status`, bench).
 pub fn parallel_counts() -> ParallelCounts {
+    let [serial, parallel] = band_counters();
     ParallelCounts {
-        serial: CALLS_SERIAL.load(Ordering::Relaxed),
-        parallel: CALLS_PARALLEL.load(Ordering::Relaxed),
+        serial: serial.get(),
+        parallel: parallel.get(),
     }
 }
 
@@ -745,20 +736,11 @@ pub fn gemm_pinned(
     tags: GemmTags,
 ) {
     let (rm, rk, rn) = ref_mkn;
-    let ref_class = classify(rm, rk, rn);
-    let variant = match ref_class {
-        ShapeClass::Tiny | ShapeClass::Skinny => Variant::Direct,
-        _ => selected_variant(),
-    };
-    let threads = if variant == Variant::Direct {
-        1
-    } else {
-        auto_band_threads(ref_class, m, k, n)
-    };
+    let sel = select_class(classify(rm, rk, rn), m, k, n);
     gemm_resolved(
-        variant,
-        Blocking::for_class(ref_class),
-        threads,
+        sel.variant,
+        sel.blocking,
+        sel.threads,
         op,
         a,
         b,
@@ -803,7 +785,7 @@ fn gemm_resolved(
     } else {
         Variant::Scalar
     };
-    count_dispatch(resolved);
+    dispatch_counters()[resolved as usize].incr();
     match resolved {
         // The direct loops neither pack nor fork; tags and threads are
         // moot for the tiny shapes routed here.
@@ -857,13 +839,11 @@ fn gemm_packed<K: Micro>(
     let cb = cb_arc.as_deref().map(cache::PackedMatrix::as_ref);
     let nbands = threads.min(m.div_ceil(K::MR)).max(1);
     if nbands <= 1 {
-        CALLS_SERIAL.fetch_add(1, Ordering::Relaxed);
-        band_telemetry()[0].add(1);
+        band_counters()[0].incr();
         gemm_band::<K>(a, la, b, lb, c, 0, m, m, k, n, blk, ca, cb);
         return;
     }
-    CALLS_PARALLEL.fetch_add(1, Ordering::Relaxed);
-    band_telemetry()[1].add(1);
+    band_counters()[1].incr();
     let band_rows = m.div_ceil(nbands).next_multiple_of(K::MR);
     if cb.is_some() {
         run_bands::<K>(a, la, b, lb, c, m, k, n, blk, band_rows, nbands, ca, cb);

@@ -13,64 +13,20 @@
 #
 # Usage: scripts/fleet_smoke.sh
 set -euo pipefail
-cd "$(dirname "$0")/.."
+# shellcheck source=scripts/lib.sh
+source "$(dirname "$0")/lib.sh"
 
-TMP="$(mktemp -d)"
-PIDS=()
-
-record_pid() {
-    PIDS+=("$1")
-    if [ -n "${SMOKE_PID_FILE:-}" ]; then
-        echo "$1" >>"${SMOKE_PID_FILE}"
-    fi
-}
-
-cleanup() {
-    # A leaked process is a failure mode of its own; never leave one behind.
-    for pid in "${PIDS[@]:-}"; do
-        if [ -n "${pid}" ] && kill -0 "${pid}" 2>/dev/null; then
-            kill -9 "${pid}" 2>/dev/null || true
-            wait "${pid}" 2>/dev/null || true
-        fi
-    done
-    rm -rf "${TMP}"
-}
-trap cleanup EXIT
-
-echo "==> build"
-cargo build --release -q -p hsconas --bin hsconas
-BIN=target/release/hsconas
+build
 
 echo "==> start router + 2 workers"
-"${BIN}" serve --port 0 --fleet 2 --devices edge \
-    >"${TMP}/route.out" 2>"${TMP}/route.err" &
-ROUTER_PID=$!
-record_pid "${ROUTER_PID}"
+start_server route --fleet 2 --devices edge
+echo "    listening on ${route_ADDR}"
 
-# Wait for the listen line (worker calibration on first run takes a moment).
-ADDR=""
-for _ in $(seq 1 600); do
-    if ! kill -0 "${ROUTER_PID}" 2>/dev/null; then
-        echo "router died during startup:" >&2
-        cat "${TMP}/route.err" >&2
-        exit 1
-    fi
-    ADDR="$(sed -n 's/.*listening on //p' "${TMP}/route.out" | head -n1)"
-    [ -n "${ADDR}" ] && break
-    sleep 0.1
-done
-if [ -z "${ADDR}" ]; then
-    echo "router never printed its listen address" >&2
-    exit 1
-fi
-echo "    listening on ${ADDR}"
-
-# The workers are children of the router; record them for the leak check
-# and so the failover phase can kill one.
+# The workers are children of the router (start_server recorded them for
+# the leak check); the failover phase kills one.
 WORKER_PIDS=()
-for pid in $(pgrep -P "${ROUTER_PID}" 2>/dev/null || true); do
+for pid in $(pgrep -P "${route_PID}" 2>/dev/null || true); do
     WORKER_PIDS+=("${pid}")
-    record_pid "${pid}"
 done
 if [ "${#WORKER_PIDS[@]}" -ne 2 ]; then
     echo "expected 2 worker processes under the router, found ${#WORKER_PIDS[@]}" >&2
@@ -78,7 +34,7 @@ if [ "${#WORKER_PIDS[@]}" -ne 2 ]; then
 fi
 
 client() {
-    "${BIN}" client --addr "${ADDR}" "$@"
+    client_at "${route_ADDR}" "$@"
 }
 
 # First occurrence of a numeric field in the pretty-printed fleet status.
@@ -95,13 +51,10 @@ status_field() {
 
 echo "==> mixed traffic (status, predict, score, search, infer)"
 client status >/dev/null
-# Widest genome in the served 20-layer space: (op 0, scale 9) x 20.
-ARCH="0,9"
-for _ in $(seq 1 19); do ARCH="${ARCH},0,9"; done
-client predict --device edge --arch "${ARCH}" >/dev/null
+client predict --device edge --arch "${WIDE_ARCH}" >/dev/null
 SCORE_SENT=0
 SCORE_OK=0
-if client score --device edge --target-ms 34 --arch "${ARCH}" >/dev/null; then
+if client score --device edge --target-ms 34 --arch "${WIDE_ARCH}" >/dev/null; then
     SCORE_OK=$((SCORE_OK + 1))
 fi
 SCORE_SENT=$((SCORE_SENT + 1))
@@ -119,7 +72,7 @@ echo "==> accounting: served + overloaded == sent, fleet-wide"
 # Distinct targets spread the keys over both shards and defeat the eval
 # memo, so every request does real work.
 for i in $(seq 1 30); do
-    if client score --device edge --target-ms "$((1000 + i))" --arch "${ARCH}" >/dev/null 2>&1; then
+    if client score --device edge --target-ms "$((1000 + i))" --arch "${WIDE_ARCH}" >/dev/null 2>&1; then
         SCORE_OK=$((SCORE_OK + 1))
     fi
     SCORE_SENT=$((SCORE_SENT + 1))
@@ -148,7 +101,7 @@ wait "${WORKER_PIDS[0]}" 2>/dev/null || true
 DOWN_OK=0
 DOWN_FAIL=0
 for i in $(seq 1 20); do
-    if client score --device edge --target-ms "$((2000 + i))" --arch "${ARCH}" >/dev/null 2>&1; then
+    if client score --device edge --target-ms "$((2000 + i))" --arch "${WIDE_ARCH}" >/dev/null 2>&1; then
         DOWN_OK=$((DOWN_OK + 1))
     else
         DOWN_FAIL=$((DOWN_FAIL + 1))
@@ -170,34 +123,8 @@ fi
 echo "    surviving shard served ${DOWN_OK}, dead shard rejected ${DOWN_FAIL}"
 
 echo "==> graceful drain (router + surviving worker)"
-client shutdown >/dev/null
-
-# The router must drain the fleet and exit 0 on its own.
-EXITED=0
-for _ in $(seq 1 300); do
-    if ! kill -0 "${ROUTER_PID}" 2>/dev/null; then
-        EXITED=1
-        break
-    fi
-    sleep 0.1
-done
-if [ "${EXITED}" -ne 1 ]; then
-    echo "router leaked: still running after shutdown" >&2
-    exit 1
-fi
-if ! wait "${ROUTER_PID}"; then
-    echo "router exited nonzero:" >&2
-    cat "${TMP}/route.err" >&2
-    exit 1
-fi
-
+stop_server route
 # PID-scoped leak check: every process this script spawned must be gone.
-for pid in "${PIDS[@]}"; do
-    if kill -0 "${pid}" 2>/dev/null; then
-        echo "leaked process ${pid} after drain:" >&2
-        ps -p "${pid}" -o pid,cmd >&2 || true
-        exit 1
-    fi
-done
+assert_no_leaks
 
 echo "fleet smoke: OK"

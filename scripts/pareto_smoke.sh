@@ -13,32 +13,10 @@
 #
 # Usage: scripts/pareto_smoke.sh
 set -euo pipefail
-cd "$(dirname "$0")/.."
+# shellcheck source=scripts/lib.sh
+source "$(dirname "$0")/lib.sh"
 
-TMP="$(mktemp -d)"
-PIDS=()
-
-record_pid() {
-    PIDS+=("$1")
-    if [ -n "${SMOKE_PID_FILE:-}" ]; then
-        echo "$1" >>"${SMOKE_PID_FILE}"
-    fi
-}
-
-cleanup() {
-    for pid in "${PIDS[@]:-}"; do
-        if [ -n "${pid}" ] && kill -0 "${pid}" 2>/dev/null; then
-            kill -9 "${pid}" 2>/dev/null || true
-            wait "${pid}" 2>/dev/null || true
-        fi
-    done
-    rm -rf "${TMP}"
-}
-trap cleanup EXIT
-
-echo "==> build"
-cargo build --release -q -p hsconas --bin hsconas
-BIN=target/release/hsconas
+build
 
 echo "==> bench-table builder is byte-deterministic"
 "${BIN}" bench-table --out "${TMP}/a.hsbt" --devices gpu,cpu,edge --samples 12 --seed 7 >/dev/null
@@ -61,37 +39,6 @@ if ! grep -q "invalid bench table" "${TMP}/torn.err"; then
     exit 1
 fi
 
-# Starts one serve process ($1 = output tag, rest = extra args) and echoes
-# its address once the listen line appears.
-start_server() {
-    local tag="$1"
-    shift
-    "${BIN}" serve --port 0 "$@" >"${TMP}/${tag}.out" 2>"${TMP}/${tag}.err" &
-    local pid=$!
-    record_pid "${pid}"
-    # Workers spawned by a fleet router are children; record them too.
-    local addr=""
-    for _ in $(seq 1 600); do
-        if ! kill -0 "${pid}" 2>/dev/null; then
-            echo "server '${tag}' died during startup:" >&2
-            cat "${TMP}/${tag}.err" >&2
-            exit 1
-        fi
-        addr="$(sed -n 's/.*listening on //p' "${TMP}/${tag}.out" | head -n1)"
-        [ -n "${addr}" ] && break
-        sleep 0.1
-    done
-    if [ -z "${addr}" ]; then
-        echo "server '${tag}' never printed its listen address" >&2
-        exit 1
-    fi
-    for child in $(pgrep -P "${pid}" 2>/dev/null || true); do
-        record_pid "${child}"
-    done
-    eval "${tag}_ADDR='${addr}'"
-    eval "${tag}_PID='${pid}'"
-}
-
 echo "==> start single daemon, table-backed daemon, and fleet router"
 start_server single
 start_server table --bench-table "${TMP}/a.hsbt"
@@ -99,13 +46,13 @@ start_server fleet --fleet 2
 echo "    single=${single_ADDR} table=${table_ADDR} fleet=${fleet_ADDR}"
 
 echo "==> pareto: single vs fleet vs permuted vs aliased, byte-identical"
-"${BIN}" client --addr "${single_ADDR}" pareto \
+client_at "${single_ADDR}" pareto \
     --devices cpu,edge,gpu --target-ms 34 --seed 11 >"${TMP}/ref.json"
-"${BIN}" client --addr "${fleet_ADDR}" pareto \
+client_at "${fleet_ADDR}" pareto \
     --devices cpu,edge,gpu --target-ms 34 --seed 11 >"${TMP}/fleet.json"
-"${BIN}" client --addr "${fleet_ADDR}" pareto \
+client_at "${fleet_ADDR}" pareto \
     --devices gpu,cpu,edge --target-ms 34 --seed 11 >"${TMP}/perm.json"
-"${BIN}" client --addr "${single_ADDR}" pareto \
+client_at "${single_ADDR}" pareto \
     --devices edge-xavier,gpu-gv100,cpu,edge --target-ms 34 --seed 11 >"${TMP}/alias.json"
 for variant in fleet perm alias; do
     if ! cmp -s "${TMP}/ref.json" "${TMP}/${variant}.json"; then
@@ -116,24 +63,22 @@ for variant in fleet perm alias; do
 done
 
 echo "==> table miss falls through to the live path, byte-identical"
-# Widest genome in the served 20-layer space: (op 0, scale 9) x 20 —
-# vanishingly unlikely to be in a 12-row random sample, so this exercises
-# the miss path (the hit path is covered bit-exactly by tests/bench_table.rs).
-ARCH="0,9"
-for _ in $(seq 1 19); do ARCH="${ARCH},0,9"; done
-for cmd in "predict --device edge --arch ${ARCH}" \
-    "score --device edge --target-ms 34 --arch ${ARCH}"; do
+# The widest genome is vanishingly unlikely to be in a 12-row random
+# sample, so this exercises the miss path (the hit path is covered
+# bit-exactly by tests/bench_table.rs).
+for cmd in "predict --device edge --arch ${WIDE_ARCH}" \
+    "score --device edge --target-ms 34 --arch ${WIDE_ARCH}"; do
     # shellcheck disable=SC2086
-    "${BIN}" client --addr "${table_ADDR}" ${cmd} >"${TMP}/hit.json"
+    client_at "${table_ADDR}" ${cmd} >"${TMP}/hit.json"
     # shellcheck disable=SC2086
-    "${BIN}" client --addr "${single_ADDR}" ${cmd} >"${TMP}/live.json"
+    client_at "${single_ADDR}" ${cmd} >"${TMP}/live.json"
     if ! cmp -s "${TMP}/hit.json" "${TMP}/live.json"; then
         echo "table-backed '${cmd}' diverged from the live daemon:" >&2
         diff "${TMP}/hit.json" "${TMP}/live.json" >&2 || true
         exit 1
     fi
 done
-"${BIN}" client --addr "${table_ADDR}" status >"${TMP}/table-status.json"
+client_at "${table_ADDR}" status >"${TMP}/table-status.json"
 if ! grep -q '"bench_table"' "${TMP}/table-status.json"; then
     echo "table-backed status is missing the bench_table block" >&2
     exit 1
@@ -141,34 +86,8 @@ fi
 
 echo "==> graceful drain"
 for tag in single table fleet; do
-    addr_var="${tag}_ADDR"
-    pid_var="${tag}_PID"
-    "${BIN}" client --addr "${!addr_var}" shutdown >/dev/null
-    exited=0
-    for _ in $(seq 1 300); do
-        if ! kill -0 "${!pid_var}" 2>/dev/null; then
-            exited=1
-            break
-        fi
-        sleep 0.1
-    done
-    if [ "${exited}" -ne 1 ]; then
-        echo "server '${tag}' leaked: still running after shutdown" >&2
-        exit 1
-    fi
-    if ! wait "${!pid_var}"; then
-        echo "server '${tag}' exited nonzero:" >&2
-        cat "${TMP}/${tag}.err" >&2
-        exit 1
-    fi
+    stop_server "${tag}"
 done
-
-for pid in "${PIDS[@]}"; do
-    if kill -0 "${pid}" 2>/dev/null; then
-        echo "leaked process ${pid} after drain:" >&2
-        ps -p "${pid}" -o pid,cmd >&2 || true
-        exit 1
-    fi
-done
+assert_no_leaks
 
 echo "pareto smoke: OK"

@@ -10,69 +10,30 @@
 #
 # Usage: scripts/serve_smoke.sh [state-dir]
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
 STATE_DIR="${1:-}"
-TMP="$(mktemp -d)"
+# shellcheck source=scripts/lib.sh
+source "$(dirname "$0")/lib.sh"
 [ -n "${STATE_DIR}" ] || STATE_DIR="${TMP}/state"
-SERVER_PID=""
 
-cleanup() {
-    # A leaked daemon is a failure mode of its own; never leave one behind.
-    if [ -n "${SERVER_PID}" ] && kill -0 "${SERVER_PID}" 2>/dev/null; then
-        kill "${SERVER_PID}" 2>/dev/null || true
-        wait "${SERVER_PID}" 2>/dev/null || true
-    fi
-    rm -rf "${TMP}"
-}
-trap cleanup EXIT
-
-echo "==> build"
-cargo build --release -q -p hsconas --bin hsconas
-BIN=target/release/hsconas
+build
 
 echo "==> start daemon"
 mkdir -p "${STATE_DIR}"
-"${BIN}" serve --port 0 --devices edge --state-dir "${STATE_DIR}" \
-    >"${TMP}/serve.out" 2>"${TMP}/serve.err" &
-SERVER_PID=$!
-if [ -n "${SMOKE_PID_FILE:-}" ]; then
-    echo "${SERVER_PID}" >>"${SMOKE_PID_FILE}"
-fi
-
-# Wait for the listen line (calibration on first run takes a moment).
-ADDR=""
-for _ in $(seq 1 600); do
-    if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
-        echo "daemon died during startup:" >&2
-        cat "${TMP}/serve.err" >&2
-        exit 1
-    fi
-    ADDR="$(sed -n 's/.*listening on //p' "${TMP}/serve.out" | head -n1)"
-    [ -n "${ADDR}" ] && break
-    sleep 0.1
-done
-if [ -z "${ADDR}" ]; then
-    echo "daemon never printed its listen address" >&2
-    exit 1
-fi
-echo "    listening on ${ADDR}"
+start_server serve --devices edge --state-dir "${STATE_DIR}"
+echo "    listening on ${serve_ADDR}"
 
 client() {
-    "${BIN}" client --addr "${ADDR}" "$@"
+    client_at "${serve_ADDR}" "$@"
 }
 
 echo "==> status"
 client status >/dev/null
 
 echo "==> predict_latency"
-# Widest genome in the served 20-layer space: (op 0, scale 9) x 20.
-ARCH="0,9"
-for _ in $(seq 1 19); do ARCH="${ARCH},0,9"; done
-client predict --device edge --arch "${ARCH}" >/dev/null
+client predict --device edge --arch "${WIDE_ARCH}" >/dev/null
 
 echo "==> score"
-client score --device edge --target-ms 34 --arch "${ARCH}" >/dev/null
+client score --device edge --target-ms 34 --arch "${WIDE_ARCH}" >/dev/null
 
 echo "==> search (determinism: two identical requests, identical output)"
 client search --device edge --target-ms 34 --seed 7 >"${TMP}/search1.json"
@@ -84,26 +45,7 @@ if ! cmp -s "${TMP}/search1.json" "${TMP}/search2.json"; then
 fi
 
 echo "==> graceful shutdown"
-client shutdown >/dev/null
-
-# The daemon must drain and exit 0 on its own.
-EXITED=0
-for _ in $(seq 1 300); do
-    if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
-        EXITED=1
-        break
-    fi
-    sleep 0.1
-done
-if [ "${EXITED}" -ne 1 ]; then
-    echo "daemon leaked: still running after shutdown" >&2
-    exit 1
-fi
-if ! wait "${SERVER_PID}"; then
-    echo "daemon exited nonzero:" >&2
-    cat "${TMP}/serve.err" >&2
-    exit 1
-fi
-SERVER_PID=""
+stop_server serve
+assert_no_leaks
 
 echo "serve smoke: OK"
