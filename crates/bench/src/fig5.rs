@@ -4,14 +4,12 @@
 //! size by roughly three orders of magnitude while evaluating only
 //! `5 × 4` subspaces instead of `5⁴`.
 
-use hsconas::checkpoint::{PipelineCkpt, CUR_CALIBRATED, CUR_SHRINK_BASE};
-use hsconas::CheckpointOptions;
+use hsconas::{CheckpointOptions, Checkpointer};
 use hsconas_accuracy::{AccuracyModel, SurrogateAccuracy};
-use hsconas_ckpt::{fnv1a, CheckpointStore, Phase};
+use hsconas_ckpt::{fnv1a, Phase};
 use hsconas_evo::TradeoffObjective;
 use hsconas_hwsim::DeviceSpec;
-use hsconas_latency::{LatencyPredictor, PredictorSnapshot};
-use hsconas_shrink::{ProgressiveShrinking, ShrinkConfig, ShrinkResult, StageRecord};
+use hsconas_shrink::{ShrinkConfig, ShrinkResult};
 use hsconas_space::{Arch, SearchSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,55 +44,16 @@ pub fn run_checkpointed(
     ckpt: Option<&CheckpointOptions>,
 ) -> Fig5Result {
     let space = SearchSpace::hsconas_a();
-    let device = DeviceSpec::edge_xavier();
     let oracle = SurrogateAccuracy::new(space.skeleton().clone());
     let mut rng = StdRng::seed_from_u64(seed);
     // The space/device/schedule are fixed in code, so the config hash
     // only needs the two free knobs.
     let config_hash = fnv1a(format!("fig5-v1:{samples_per_subspace}:{seed}").as_bytes());
-    let store = ckpt.map(|opts| {
-        CheckpointStore::open(&opts.dir, Phase::Shrink, config_hash, opts.keep_last)
-            .expect("checkpoint dir")
-    });
-    let resume: Option<PipelineCkpt> = match (&store, ckpt) {
-        (Some(store), Some(opts)) if opts.resume => store
-            .load_latest()
-            .expect("load checkpoint")
-            .map(|(_, payload)| PipelineCkpt::decode(&payload).expect("decode checkpoint")),
-        _ => None,
-    };
-    if let Some(state) = resume.as_ref().and_then(|r| r.search_rng) {
-        rng = StdRng::from_state(state);
-    }
-    let predictor = match resume.as_ref().and_then(|r| r.predictor_json.as_deref()) {
-        Some(json) => {
-            let snapshot: PredictorSnapshot =
-                serde_json::from_str(json).expect("predictor snapshot");
-            LatencyPredictor::from_snapshot(device, &space, snapshot).expect("predictor restore")
-        }
-        None => LatencyPredictor::calibrate(device, &space, 40, 3, &mut rng).expect("calibration"),
-    };
-    let predictor_json = store
-        .as_ref()
-        .map(|_| serde_json::to_string(&predictor.export()).expect("serialize snapshot"));
-    if let Some(store) = &store {
-        if resume.is_none() {
-            let payload = PipelineCkpt {
-                tag: hsconas::checkpoint::TAG_CALIBRATED,
-                trainer: None,
-                cursor: None,
-                predictor_json: predictor_json.clone(),
-                search_rng: Some(rng.state()),
-                stages: Vec::new(),
-                ea: None,
-            }
-            .encode()
-            .expect("encode checkpoint");
-            store
-                .save(CUR_CALIBRATED, &payload)
-                .expect("save checkpoint");
-        }
-    }
+    let mut boundaries =
+        Checkpointer::open(ckpt, Phase::Shrink, || Ok(config_hash)).expect("open checkpoints");
+    let predictor = boundaries
+        .calibrate(DeviceSpec::edge_xavier(), &space, 40, 3, &mut rng, None)
+        .expect("calibration");
     let mut objective = TradeoffObjective::new(
         move |arch: &Arch| oracle.accuracy(arch).map_err(|e| e.to_string()),
         move |arch: &Arch| predictor.predict_ms(arch).map_err(|e| e.to_string()),
@@ -106,51 +65,16 @@ pub fn run_checkpointed(
         ..Default::default()
     };
     let initial_log10 = space.log10_size();
-    let mut completed: Vec<StageRecord> = resume.map_or_else(Vec::new, |r| r.stages);
-    let mut current = space.clone();
-    for record in &completed {
-        for decision in &record.decisions {
-            current = current
-                .restrict_op(decision.layer, decision.chosen)
-                .expect("replay shrink decision");
-        }
-    }
-    for (stage_idx, layers) in config.stages.iter().enumerate().skip(completed.len()) {
-        let result = ProgressiveShrinking::new(ShrinkConfig {
-            stages: vec![layers.clone()],
-            samples_per_subspace,
-        })
-        .run(current.clone(), &mut objective, &mut rng, |_, _| Ok(()))
+    let shrink = boundaries
+        .shrink(
+            space,
+            &config,
+            &mut objective,
+            &mut rng,
+            |_, _, _| Ok(()),
+            |_| None,
+        )
         .expect("shrinking");
-        current = result.space;
-        let mut record = result
-            .stages
-            .into_iter()
-            .next()
-            .expect("single-stage shrink yields one record");
-        record.stage = stage_idx;
-        completed.push(record);
-        if let Some(store) = &store {
-            let payload = PipelineCkpt {
-                tag: hsconas::checkpoint::TAG_SHRINK_STAGE,
-                trainer: None,
-                cursor: None,
-                predictor_json: predictor_json.clone(),
-                search_rng: Some(rng.state()),
-                stages: completed.clone(),
-                ea: None,
-            }
-            .encode()
-            .expect("encode checkpoint");
-            store
-                .save(CUR_SHRINK_BASE + stage_idx as u64 + 1, &payload)
-                .expect("save checkpoint");
-        }
-    }
-    let shrink = ShrinkResult {
-        space: current,
-        stages: completed,
-    };
     let per_stage_layers = config.stages.iter().map(|s| s.len()).collect::<Vec<_>>();
     let subspaces_evaluated = per_stage_layers.iter().map(|l| 5 * l).sum();
     let subspaces_joint = per_stage_layers.iter().map(|l| 5usize.pow(*l as u32)).sum();
@@ -235,6 +159,53 @@ mod tests {
         for l in 0..12 {
             assert_eq!(result.shrink.space.allowed_ops(l).len(), 5, "layer {l}");
         }
+    }
+
+    /// Checkpoint files in `dir`, oldest first (the zero-padded cursor in
+    /// each name makes lexical order chronological).
+    fn checkpoint_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("checkpoint dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "hsck"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn run_checkpointed_resumes_bit_identically_from_every_boundary() {
+        let samples = 3;
+        let reference = run(5, samples);
+        let root = std::env::temp_dir().join(format!("fig5-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let full = root.join("full");
+        let opts = CheckpointOptions::new(&full).keep_last(0);
+        let checkpointed = run_checkpointed(5, samples, Some(&opts));
+        assert_eq!(checkpointed.shrink, reference.shrink);
+
+        // calibration + one per shrink stage
+        let files = checkpoint_files(&full);
+        assert_eq!(files.len(), 1 + reference.shrink.stages.len());
+        for count in 1..=files.len() {
+            let partial = root.join(format!("prefix-{count}"));
+            std::fs::create_dir_all(&partial).expect("prefix dir");
+            for file in &files[..count] {
+                std::fs::copy(file, partial.join(file.file_name().expect("name")))
+                    .expect("copy checkpoint");
+            }
+            let opts = CheckpointOptions::new(&partial).resume(true).keep_last(0);
+            let resumed = run_checkpointed(5, samples, Some(&opts));
+            assert_eq!(
+                resumed.shrink, reference.shrink,
+                "shrink diverged resuming from checkpoint {count}"
+            );
+            assert_eq!(
+                resumed.initial_log10.to_bits(),
+                reference.initial_log10.to_bits()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

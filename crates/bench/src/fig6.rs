@@ -12,7 +12,7 @@ use hsconas::CheckpointOptions;
 use hsconas_accuracy::{AccuracyModel, SurrogateAccuracy};
 use hsconas_data::SyntheticDataset;
 use hsconas_evo::{
-    Evaluation, EvoError, EvolutionConfig, EvolutionSearch, MemoObjective, Objective, SearchResult,
+    Evaluation, EvoError, EvolutionConfig, EvolutionSearch, MemoObjective, Objective,
     TradeoffObjective,
 };
 use hsconas_hwsim::DeviceSpec;
@@ -77,23 +77,16 @@ pub fn run_evolution_checkpointed(
     let mut rng = StdRng::seed_from_u64(seed);
     let predictor =
         LatencyPredictor::calibrate(device, &space, 40, 3, &mut rng).expect("calibration");
-    let mut objective = TradeoffObjective::new(
+    let objective = TradeoffObjective::new(
         move |arch: &Arch| oracle.accuracy(arch).map_err(|e| e.to_string()),
         move |arch: &Arch| predictor.predict_ms(arch).map_err(|e| e.to_string()),
         target_ms,
         -20.0,
     );
-    let result: SearchResult = match ckpt {
-        Some(opts) => {
-            let mut memo = MemoObjective::new(objective);
-            let mut search = EvolutionSearch::new(space, config);
-            hsconas::run_search_checkpointed(&mut search, &mut memo, &mut rng, opts)
-                .expect("search")
-        }
-        None => EvolutionSearch::new(space, config)
-            .run(&mut objective, &mut rng)
-            .expect("search"),
-    };
+    let mut memo = MemoObjective::new(objective);
+    let mut search = EvolutionSearch::new(space, config);
+    let result =
+        hsconas::run_search_checkpointed(&mut search, &mut memo, &mut rng, ckpt).expect("search");
     let generations = result
         .history
         .iter()

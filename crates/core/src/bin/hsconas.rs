@@ -16,8 +16,7 @@
 use hsconas::checkpoint::inspect_checkpoint;
 use hsconas::persist::{load_json, save_json, SavedModel};
 use hsconas::{
-    render_table, search_for_device, search_for_device_checkpointed, table_one, CheckpointOptions,
-    PipelineConfig,
+    render_table, search_for_device_checkpointed, table_one, CheckpointOptions, PipelineConfig,
 };
 use hsconas_accuracy::{AccuracyModel, SurrogateAccuracy};
 use hsconas_hwsim::{lower_arch, DeviceSpec};
@@ -136,19 +135,16 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     let _telemetry = telemetry_from_args(args);
     let space = SearchSpace::full(NetworkSkeleton::imagenet(layout));
     let mut rng = StdRng::seed_from_u64(seed);
-    let outcome = match checkpoint_options_from_args(args)? {
-        Some(opts) => search_for_device_checkpointed(
-            space.clone(),
-            device.clone(),
-            target_ms,
-            &config,
-            &mut rng,
-            &opts,
-        )
-        .map_err(|e| e.to_string())?,
-        None => search_for_device(space.clone(), device.clone(), target_ms, &config, &mut rng)
-            .map_err(|e| e.to_string())?,
-    };
+    let ckpt = checkpoint_options_from_args(args)?;
+    let outcome = search_for_device_checkpointed(
+        space.clone(),
+        device.clone(),
+        target_ms,
+        &config,
+        &mut rng,
+        ckpt.as_ref(),
+    )
+    .map_err(|e| e.to_string())?;
     let oracle = SurrogateAccuracy::new(space.skeleton().clone());
     let top1 = oracle
         .top1_error(&outcome.best_arch)

@@ -5,7 +5,12 @@
 //! pipeline state of this crate:
 //!
 //! * [`CheckpointOptions`] — where to write, whether to resume, retention.
-//! * [`PipelineCkpt`] — the self-contained payload written at every
+//! * [`Checkpointer`] — the boundary protocol shared by every resumable
+//!   pipeline (the surrogate search, the real-training pipeline, Fig. 5):
+//!   one method per phase boundary that either restores the phase from the
+//!   resume payload or runs it and writes a checkpoint. With no options it
+//!   reads and writes nothing, so the plain entry points run the same body.
+//! * `PipelineCkpt` — the self-contained payload written at every
 //!   pipeline boundary (each file alone is enough to resume; no chain of
 //!   deltas), covering supernet weights + optimizer state, the mid-call
 //!   training cursor, the calibrated latency-predictor snapshot, completed
@@ -31,39 +36,44 @@
 
 use std::path::{Path, PathBuf};
 
+use crate::error::objective_error;
 use crate::{PipelineConfig, PipelineError, RealPipelineConfig};
 use hsconas_ckpt::{fnv1a, CheckpointStore, CkptError, Decoder, Encoder, Phase};
+use hsconas_data::SyntheticDataset;
 use hsconas_evo::{
     Evaluation, EvolutionSearch, GenerationStats, Individual, MemoObjective, Objective, ParetoEval,
     ParetoFrontier, ParetoIndividual, ParetoObjective, ParetoSearch, ParetoState, SearchResult,
     SearchState,
 };
 use hsconas_hwsim::DeviceSpec;
-use hsconas_shrink::StageRecord;
+use hsconas_latency::{LatencyPredictor, PredictorSnapshot};
+use hsconas_shrink::{ProgressiveShrinking, ShrinkConfig, ShrinkResult, StageRecord};
 use hsconas_space::{Arch, SearchSpace};
-use hsconas_supernet::{StepRecord, TrainCursor, TrainerCheckpoint};
+use hsconas_supernet::{
+    StepRecord, SupernetError, SupernetTrainer, TrainCursor, TrainerCheckpoint,
+};
+use hsconas_tensor::rng::SmallRng;
 use rand::rngs::StdRng;
 
-/// Cursor base for mid-call warm-training checkpoints
-/// (`CUR_WARM_BASE + step_in_call`).
-pub const CUR_WARM_BASE: u64 = 1_000_000;
-/// Cursor of the post-calibration checkpoint.
-pub const CUR_CALIBRATED: u64 = 2_000_000;
-/// Cursor base for completed shrinking stages
-/// (`CUR_SHRINK_BASE + stage_index + 1`).
-pub const CUR_SHRINK_BASE: u64 = 3_000_000;
-/// Cursor base for completed EA generations
-/// (`CUR_EA_BASE + completed_generations`).
-pub const CUR_EA_BASE: u64 = 4_000_000;
+// File cursors: one range per boundary kind, so zero-padded file names
+// sort in pipeline order.
+/// Mid-call warm-training checkpoints (`+ step_in_call`).
+const CUR_WARM_BASE: u64 = 1_000_000;
+/// The post-calibration checkpoint.
+const CUR_CALIBRATED: u64 = 2_000_000;
+/// Completed shrinking stages (`+ stage_index + 1`).
+const CUR_SHRINK_BASE: u64 = 3_000_000;
+/// Completed EA generations (`+ completed_generations`).
+const CUR_EA_BASE: u64 = 4_000_000;
 
 /// Payload tag: interrupted mid-call warm training.
-pub const TAG_WARM: u8 = 1;
+const TAG_WARM: u8 = 1;
 /// Payload tag: latency predictor calibrated.
-pub const TAG_CALIBRATED: u8 = 2;
+const TAG_CALIBRATED: u8 = 2;
 /// Payload tag: a shrinking stage (and its fine-tune) completed.
-pub const TAG_SHRINK_STAGE: u8 = 3;
+const TAG_SHRINK_STAGE: u8 = 3;
 /// Payload tag: an EA generation completed.
-pub const TAG_EA_GEN: u8 = 4;
+const TAG_EA_GEN: u8 = 4;
 
 /// Where and how to checkpoint a pipeline run.
 #[derive(Debug, Clone)]
@@ -121,10 +131,346 @@ fn ckpt_err(detail: impl Into<String>) -> PipelineError {
     }
 }
 
+/// Opens the store for a run (none without options) and, when resuming,
+/// reads the payload of its latest checkpoint.
+fn open_store(
+    opts: Option<&CheckpointOptions>,
+    phase: Phase,
+    config_hash: impl FnOnce() -> Result<u64, PipelineError>,
+) -> Result<(Option<CheckpointStore>, Option<Vec<u8>>), PipelineError> {
+    let Some(opts) = opts else {
+        return Ok((None, None));
+    };
+    let store = CheckpointStore::open(&opts.dir, phase, config_hash()?, opts.keep_last)?;
+    let latest = match opts.resume {
+        true => store.load_latest()?.map(|(_, payload)| payload),
+        false => None,
+    };
+    Ok((Some(store), latest))
+}
+
+/// The checkpoint boundary protocol of one resumable pipeline run.
+///
+/// Opened from `Option<&CheckpointOptions>`. Without options it reads and
+/// writes nothing — no payload is encoded, no predictor exported, no
+/// trainer snapshotted — so a plain run and a checkpointed run execute the
+/// same phase code. With options it owns the [`CheckpointStore`] and the
+/// decoded resume payload, and each phase method either restores its phase
+/// from that payload or runs it and saves a self-contained checkpoint at
+/// its boundary. Phase methods that save supernet state take a `trainer`
+/// accessor into the objective; surrogate pipelines pass `|_| None`.
+pub struct Checkpointer {
+    store: Option<CheckpointStore>,
+    resume: Option<PipelineCkpt>,
+    train_interval: usize,
+    /// The calibrated predictor, carried in every later checkpoint.
+    predictor_json: Option<String>,
+    /// Completed shrinking stages, carried in every later checkpoint.
+    stages: Vec<StageRecord>,
+}
+
+impl Checkpointer {
+    /// Opens the protocol for one run. `config_hash` identifies everything
+    /// that determines the run's results; it is computed only with options,
+    /// and resume refuses a checkpoint written under another hash.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Ckpt`] if the store cannot be opened, or if
+    /// resuming and the latest checkpoint is corrupt or was written under a
+    /// different configuration.
+    pub fn open(
+        opts: Option<&CheckpointOptions>,
+        phase: Phase,
+        config_hash: impl FnOnce() -> Result<u64, PipelineError>,
+    ) -> Result<Self, PipelineError> {
+        let (store, latest) = open_store(opts, phase, config_hash)?;
+        let mut resume = latest.map(|p| PipelineCkpt::decode(&p)).transpose()?;
+        let stages = resume
+            .as_mut()
+            .map(|r| std::mem::take(&mut r.stages))
+            .unwrap_or_default();
+        Ok(Checkpointer {
+            store,
+            resume,
+            train_interval: opts.map_or(0, |o| o.train_interval),
+            predictor_json: None,
+            stages,
+        })
+    }
+
+    /// Restores `trainer` from the resume payload, then runs (or finishes)
+    /// warm supernet training unless the run is already past it, saving a
+    /// checkpoint every `train_interval` steps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError`] on a training or checkpoint failure.
+    pub fn train_warm(
+        &self,
+        trainer: &mut SupernetTrainer,
+        space: &SearchSpace,
+        data: &SyntheticDataset,
+        steps: usize,
+        lr: f32,
+        rng: &mut SmallRng,
+    ) -> Result<(), PipelineError> {
+        let train_err = |e: SupernetError| objective_error(e.to_string());
+        let cursor = match &self.resume {
+            Some(r) => {
+                let snapshot = r
+                    .trainer
+                    .as_ref()
+                    .ok_or_else(|| ckpt_err("pipeline checkpoint is missing trainer state"))?;
+                trainer.restore(snapshot).map_err(train_err)?;
+                if r.tag > TAG_WARM {
+                    return Ok(());
+                }
+                r.cursor
+            }
+            None => None,
+        };
+        let _span = hsconas_telemetry::span!("pipeline.train", steps = steps);
+        let mut save = |t: &mut SupernetTrainer, c: &TrainCursor| {
+            let snapshot = self.snapshot(Some(t));
+            self.save(
+                TAG_WARM,
+                CUR_WARM_BASE + c.step_in_call,
+                snapshot,
+                Some(*c),
+                None,
+                None,
+            )
+            .map_err(|e| SupernetError::Checkpoint {
+                detail: e.to_string(),
+            })
+        };
+        trainer
+            .train_steps_resumable(
+                space,
+                data,
+                steps,
+                lr,
+                rng,
+                cursor.as_ref(),
+                self.train_interval,
+                &mut save,
+            )
+            .map_err(train_err)
+    }
+
+    /// Restores the driving RNG and the latency predictor from the resume
+    /// payload, or calibrates the predictor (Eq. 2–3) on `device`; then
+    /// saves the post-calibration checkpoint unless the run is past it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError`] on a calibration failure, an invalid
+    /// predictor snapshot, or a checkpoint failure.
+    pub fn calibrate(
+        &mut self,
+        device: DeviceSpec,
+        space: &SearchSpace,
+        archs: usize,
+        repeats: usize,
+        rng: &mut StdRng,
+        trainer: Option<&mut SupernetTrainer>,
+    ) -> Result<LatencyPredictor, PipelineError> {
+        if let Some(state) = self.resume.as_ref().and_then(|r| r.search_rng) {
+            *rng = StdRng::from_state(state);
+        }
+        let predictor = match self
+            .resume
+            .as_ref()
+            .and_then(|r| r.predictor_json.as_deref())
+        {
+            Some(json) => {
+                let snapshot: PredictorSnapshot = serde_json::from_str(json).map_err(|e| {
+                    ckpt_err(format!("invalid predictor snapshot in checkpoint: {e}"))
+                })?;
+                LatencyPredictor::from_snapshot(device, space, snapshot)
+                    .map_err(|e| ckpt_err(e.to_string()))?
+            }
+            None => {
+                let _span = hsconas_telemetry::span!("pipeline.calibrate");
+                LatencyPredictor::calibrate(device, space, archs, repeats, rng)?
+            }
+        };
+        if self.store.is_some() {
+            self.predictor_json = Some(
+                serde_json::to_string(&predictor.export())
+                    .map_err(|e| ckpt_err(format!("serializing predictor snapshot: {e}")))?,
+            );
+            if self.resume.as_ref().is_none_or(|r| r.tag < TAG_CALIBRATED) {
+                let snapshot = self.snapshot(trainer);
+                self.save(
+                    TAG_CALIBRATED,
+                    CUR_CALIBRATED,
+                    snapshot,
+                    None,
+                    Some(rng),
+                    None,
+                )?;
+            }
+        }
+        Ok(predictor)
+    }
+
+    /// Progressive shrinking (§III-C) one stage per
+    /// [`ProgressiveShrinking::run`] call, so the RNG can be saved between
+    /// stages (the stream each stage consumes is the same either way). The
+    /// resumed stages are replayed into `space` from their saved per-layer
+    /// decisions; each new stage is followed by `fine_tune` and a saved
+    /// checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError`] on a shrinking, fine-tuning, or checkpoint
+    /// failure.
+    pub fn shrink<O: Objective>(
+        &mut self,
+        space: SearchSpace,
+        schedule: &ShrinkConfig,
+        objective: &mut O,
+        rng: &mut StdRng,
+        mut fine_tune: impl FnMut(&mut O, usize, &SearchSpace) -> Result<(), PipelineError>,
+        mut trainer: impl FnMut(&mut O) -> Option<&mut SupernetTrainer>,
+    ) -> Result<ShrinkResult, PipelineError> {
+        let mut current = space;
+        for record in &self.stages {
+            for decision in &record.decisions {
+                current = current.restrict_op(decision.layer, decision.chosen)?;
+            }
+        }
+        let _span = hsconas_telemetry::span!("pipeline.shrink", stages = schedule.stages.len());
+        for (stage_idx, layers) in schedule.stages.iter().enumerate().skip(self.stages.len()) {
+            let engine = ProgressiveShrinking::new(ShrinkConfig {
+                stages: vec![layers.clone()],
+                samples_per_subspace: schedule.samples_per_subspace,
+            });
+            let result = engine.run(current, objective, rng, |_, _| Ok(()))?;
+            current = result.space;
+            let mut record = result
+                .stages
+                .into_iter()
+                .next()
+                .expect("single-stage shrink yields one record");
+            record.stage = stage_idx;
+            self.stages.push(record);
+            fine_tune(objective, stage_idx, &current)?;
+            let snapshot = self.snapshot(trainer(objective));
+            let cursor = CUR_SHRINK_BASE + stage_idx as u64 + 1;
+            self.save(TAG_SHRINK_STAGE, cursor, snapshot, None, Some(rng), None)?;
+        }
+        Ok(ShrinkResult {
+            space: current,
+            stages: self.stages.clone(),
+        })
+    }
+
+    /// The evolutionary search (§III-D), resumed from the saved EA state
+    /// when there is one, with a checkpoint after the initial population
+    /// and after every generation. The supernet is only evaluated during
+    /// the search, so one trainer snapshot serves every generation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError`] on a search or checkpoint failure.
+    pub fn evolve<O: Objective>(
+        &self,
+        mut search: EvolutionSearch,
+        objective: &mut O,
+        rng: &mut StdRng,
+        mut trainer: impl FnMut(&mut O) -> Option<&mut SupernetTrainer>,
+    ) -> Result<SearchResult, PipelineError> {
+        let snapshot = self.snapshot(trainer(objective));
+        let _span = hsconas_telemetry::span!("pipeline.search");
+        let resumed = self.resume.as_ref().and_then(|r| r.ea.clone());
+        run_generations(&mut search, objective, rng, resumed, |state, rng, _| {
+            let cursor = CUR_EA_BASE + state.completed_generations() as u64;
+            self.save(
+                TAG_EA_GEN,
+                cursor,
+                snapshot.clone(),
+                None,
+                Some(rng),
+                Some(state),
+            )
+        })
+    }
+
+    /// `trainer.checkpoint()`, taken only when this run writes checkpoints
+    /// (a snapshot copies every weight).
+    fn snapshot(&self, trainer: Option<&mut SupernetTrainer>) -> Option<TrainerCheckpoint> {
+        self.store.as_ref()?;
+        trainer.map(|t| t.checkpoint())
+    }
+
+    /// Encodes and saves one boundary's payload (a no-op without a store).
+    fn save(
+        &self,
+        tag: u8,
+        cursor: u64,
+        trainer: Option<TrainerCheckpoint>,
+        train_cursor: Option<TrainCursor>,
+        rng: Option<&StdRng>,
+        ea: Option<&SearchState>,
+    ) -> Result<(), PipelineError> {
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        let payload = PipelineCkpt {
+            tag,
+            trainer,
+            cursor: train_cursor,
+            predictor_json: self.predictor_json.clone(),
+            search_rng: rng.map(StdRng::state),
+            stages: self.stages.clone(),
+            ea: ea.cloned(),
+        }
+        .encode()?;
+        store.save(cursor, &payload)?;
+        Ok(())
+    }
+}
+
+/// Runs an evolutionary search to completion one generation at a time:
+/// init (unless `resumed`), then step, calling `save` after the initial
+/// population and after every generation. [`EvolutionSearch::run`] is the
+/// same loop without the saves.
+fn run_generations<O: Objective>(
+    search: &mut EvolutionSearch,
+    objective: &mut O,
+    rng: &mut StdRng,
+    resumed: Option<SearchState>,
+    mut save: impl FnMut(&SearchState, &StdRng, &O) -> Result<(), PipelineError>,
+) -> Result<SearchResult, PipelineError> {
+    let config = *search.config();
+    let _ea_span = hsconas_telemetry::span!(
+        "ea.search",
+        generations = config.generations,
+        population = config.population,
+        parents = config.parents
+    );
+    let mut state = match resumed {
+        Some(state) => state,
+        None => {
+            let state = search.init_state(objective, rng)?;
+            save(&state, rng, objective)?;
+            state
+        }
+    };
+    while state.completed_generations() < config.generations {
+        search.step_generation(&mut state, objective, rng)?;
+        save(&state, rng, objective)?;
+    }
+    search.finalize(&state).map_err(Into::into)
+}
+
 /// The state captured at one pipeline boundary. Every field a later phase
 /// needs is present, so a single file is sufficient to resume.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PipelineCkpt {
+struct PipelineCkpt {
     /// Which boundary this checkpoint was written at (`TAG_*`).
     pub tag: u8,
     /// Supernet trainer state (real-training pipeline only).
@@ -145,12 +491,7 @@ pub struct PipelineCkpt {
 impl PipelineCkpt {
     /// Serializes the checkpoint into a payload for
     /// [`CheckpointStore::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Ckpt`] if the stage records cannot be
-    /// serialized.
-    pub fn encode(&self) -> Result<Vec<u8>, PipelineError> {
+    fn encode(&self) -> Result<Vec<u8>, PipelineError> {
         let stages_json = serde_json::to_string(&self.stages)
             .map_err(|e| ckpt_err(format!("serializing shrink stage records: {e}")))?;
         let mut e = Encoder::new();
@@ -164,13 +505,9 @@ impl PipelineCkpt {
         Ok(e.finish())
     }
 
-    /// Deserializes a payload produced by [`Self::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Ckpt`] on any structural mismatch
-    /// (truncation, trailing bytes, malformed embedded JSON).
-    pub fn decode(payload: &[u8]) -> Result<Self, PipelineError> {
+    /// Deserializes a payload produced by [`Self::encode`]; fails on any
+    /// structural mismatch (truncation, trailing bytes, malformed JSON).
+    fn decode(payload: &[u8]) -> Result<Self, PipelineError> {
         let mut d = Decoder::new(payload);
         let ckpt = decode_inner(&mut d).map_err(|e| ckpt_err(e.to_string()))?;
         d.expect_end().map_err(|e| ckpt_err(e.to_string()))?;
@@ -474,7 +811,7 @@ fn decode_search_payload(payload: &[u8]) -> Result<SearchPayload, PipelineError>
 /// generation: the full [`SearchState`], the driving RNG's state, and the
 /// memo-cache contents, so a resumed search re-evaluates nothing and
 /// continues bit-identically — at any worker-thread count of the wrapped
-/// objective.
+/// objective. With `opts = None` nothing is read or written.
 ///
 /// # Errors
 ///
@@ -485,57 +822,26 @@ pub fn run_search_checkpointed<O: Objective>(
     search: &mut EvolutionSearch,
     objective: &mut MemoObjective<O>,
     rng: &mut StdRng,
-    opts: &CheckpointOptions,
+    opts: Option<&CheckpointOptions>,
 ) -> Result<SearchResult, PipelineError> {
-    let generations = search.config().generations;
-    let store = CheckpointStore::open(
-        &opts.dir,
-        Phase::Search,
-        search_config_hash(search)?,
-        opts.keep_last,
-    )?;
-    let resume = if opts.resume {
-        store.load_latest()?
-    } else {
-        None
-    };
-    let _ea_span = hsconas_telemetry::span!(
-        "ea.search",
-        generations = generations,
-        population = search.config().population,
-        parents = search.config().parents
-    );
-    let mut state = match resume {
-        Some((_, payload)) => {
+    let (store, latest) = open_store(opts, Phase::Search, || search_config_hash(search))?;
+    let resumed = match latest {
+        Some(payload) => {
             let (state, rng_state, memo) = decode_search_payload(&payload)?;
             objective.import_cache(memo);
             *rng = StdRng::from_state(rng_state);
-            state
+            Some(state)
         }
-        None => {
-            let state = search.init_state(objective, rng)?;
-            save_generation(&store, &state, rng, objective)?;
-            state
-        }
+        None => None,
     };
-    while state.completed_generations() < generations {
-        search.step_generation(&mut state, objective, rng)?;
-        save_generation(&store, &state, rng, objective)?;
-    }
-    search.finalize(&state).map_err(Into::into)
-}
-
-fn save_generation<O: Objective>(
-    store: &CheckpointStore,
-    state: &SearchState,
-    rng: &StdRng,
-    objective: &MemoObjective<O>,
-) -> Result<(), PipelineError> {
-    let payload = encode_search_payload(state, rng.state(), &objective.export_cache());
-    store
-        .save(state.completed_generations() as u64, &payload)
-        .map_err(Into::into)
-        .map(|_| ())
+    run_generations(search, objective, rng, resumed, |state, rng, objective| {
+        let Some(store) = &store else {
+            return Ok(());
+        };
+        let payload = encode_search_payload(state, rng.state(), &objective.export_cache());
+        store.save(state.completed_generations() as u64, &payload)?;
+        Ok(())
+    })
 }
 
 fn put_pareto_eval(e: &mut Encoder, ev: &ParetoEval) {
@@ -653,24 +959,17 @@ pub fn run_pareto_checkpointed(
     opts: &CheckpointOptions,
 ) -> Result<ParetoFrontier, PipelineError> {
     let generations = search.config().generations;
-    let store = CheckpointStore::open(
-        &opts.dir,
-        Phase::Search,
-        pareto_config_hash(search, objective.devices())?,
-        opts.keep_last,
-    )?;
-    let resume = if opts.resume {
-        store.load_latest()?
-    } else {
-        None
-    };
+    let (store, latest) = open_store(Some(opts), Phase::Search, || {
+        pareto_config_hash(search, objective.devices())
+    })?;
+    let store = store.expect("open_store returns a store when given options");
     let _span = hsconas_telemetry::span!(
         "pareto.search.checkpointed",
         generations = generations,
         devices = objective.devices().len()
     );
-    let mut state = match resume {
-        Some((_, payload)) => {
+    let mut state = match latest {
+        Some(payload) => {
             let (state, rng_state) = decode_pareto_payload(&payload)?;
             *rng = StdRng::from_state(rng_state);
             state

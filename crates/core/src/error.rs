@@ -41,6 +41,12 @@ impl std::error::Error for PipelineError {
     }
 }
 
+/// A supernet build or training failure, reported as an objective error
+/// (the search sees the supernet only through its objective).
+pub(crate) fn objective_error(detail: String) -> PipelineError {
+    PipelineError::Evo(EvoError::Objective { detail })
+}
+
 impl From<hsconas_ckpt::CkptError> for PipelineError {
     fn from(e: hsconas_ckpt::CkptError) -> Self {
         PipelineError::Ckpt {

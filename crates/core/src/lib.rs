@@ -18,6 +18,13 @@
 //! 5. report Table-I-style comparisons against the baseline zoo
 //!    ([`hsconas_baselines`]).
 //!
+//! Every pipeline is crash-safe through one driver, [`Checkpointer`]: each
+//! entry point has a single body that takes `Option<&CheckpointOptions>`
+//! ([`search_for_device_checkpointed`], [`run_real_pipeline_checkpointed`]),
+//! and the plain names ([`search_for_device`], [`run_real_pipeline`]) call
+//! it with `None`, which reads and writes nothing. A run resumed from any
+//! checkpoint is bit-identical to an uninterrupted one.
+//!
 //! ## Example
 //!
 //! ```no_run
@@ -54,6 +61,7 @@ pub mod report;
 
 pub use checkpoint::{
     pareto_config_hash, run_pareto_checkpointed, run_search_checkpointed, CheckpointOptions,
+    Checkpointer,
 };
 pub use config::PipelineConfig;
 pub use error::PipelineError;

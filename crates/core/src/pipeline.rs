@@ -1,19 +1,15 @@
 //! The end-to-end search pipeline (Fig. 1 of the paper).
 
-use crate::checkpoint::{
-    surrogate_config_hash, CheckpointOptions, PipelineCkpt, CUR_CALIBRATED, CUR_EA_BASE,
-    CUR_SHRINK_BASE, TAG_CALIBRATED, TAG_EA_GEN, TAG_SHRINK_STAGE,
-};
+use crate::checkpoint::{surrogate_config_hash, CheckpointOptions, Checkpointer};
 use crate::{PipelineConfig, PipelineError};
 use hsconas_accuracy::{AccuracyModel, SurrogateAccuracy};
-use hsconas_ckpt::{CheckpointStore, Phase};
+use hsconas_ckpt::Phase;
 use hsconas_evo::{Evaluation, EvolutionSearch, SearchResult, TradeoffObjective};
 use hsconas_hwsim::DeviceSpec;
-use hsconas_latency::{LatencyPredictor, PredictorSnapshot};
-use hsconas_shrink::{ProgressiveShrinking, ShrinkConfig, ShrinkResult, StageRecord};
+use hsconas_latency::LatencyPredictor;
+use hsconas_shrink::ShrinkResult;
 use hsconas_space::{Arch, SearchSpace};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The result of one device-targeted search.
 #[derive(Debug, Clone)]
@@ -61,66 +57,22 @@ fn build_objective(
 /// # Errors
 ///
 /// Returns [`PipelineError`] on any subsystem failure.
-pub fn search_for_device<R: Rng + ?Sized>(
+pub fn search_for_device(
     space: SearchSpace,
     device: DeviceSpec,
     target_ms: f64,
     config: &PipelineConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<SearchOutcome, PipelineError> {
-    let oracle = SurrogateAccuracy::new(space.skeleton().clone());
-    let predictor = {
-        let _span = hsconas_telemetry::span!("pipeline.calibrate");
-        LatencyPredictor::calibrate(
-            device,
-            &space,
-            config.calibration_archs,
-            config.calibration_repeats,
-            rng,
-        )?
-    };
-    let latency_bias_us = predictor.bias_us();
-    let mut objective = build_objective(oracle, predictor, target_ms, config.beta);
-
-    let (search_space, shrink) = if config.shrink {
-        let _span = hsconas_telemetry::span!(
-            "pipeline.shrink",
-            stages = config.shrink_config.stages.len()
-        );
-        let result = ProgressiveShrinking::new(config.shrink_config.clone()).run(
-            space,
-            &mut objective,
-            rng,
-            |_stage, _space| Ok(()),
-        )?;
-        (result.space.clone(), Some(result))
-    } else {
-        (space, None)
-    };
-
-    let evolution = {
-        let _span = hsconas_telemetry::span!("pipeline.search");
-        let mut search = EvolutionSearch::new(search_space, config.evolution);
-        search.run(&mut objective, rng)?
-    };
-    Ok(SearchOutcome {
-        best_arch: evolution.best_arch.clone(),
-        best: evolution.best_evaluation,
-        latency_bias_us,
-        shrink,
-        evolution,
-    })
+    search_for_device_checkpointed(space, device, target_ms, config, rng, None)
 }
 
-/// [`search_for_device`] with crash-safe checkpointing: a self-contained
-/// checkpoint lands after calibration, after every shrinking stage, and
-/// after every EA generation. With `opts.resume = true` the run continues
-/// from the latest checkpoint bit-identically to an uninterrupted run
-/// (the shrink/EA RNG stream is restored exactly; the calibrated
-/// predictor is rebuilt from its snapshot).
-///
-/// Takes a concrete [`StdRng`] (rather than a generic `Rng`) because the
-/// driving RNG's state must be persisted and restored.
+/// [`search_for_device`] with optional crash-safe checkpointing: a
+/// self-contained checkpoint lands after calibration, after every
+/// shrinking stage, and after every EA generation. With `resume` set the
+/// run continues from the latest checkpoint bit-identically to an
+/// uninterrupted run (the shrink/EA RNG stream is restored exactly; the
+/// calibrated predictor is rebuilt from its snapshot).
 ///
 /// # Errors
 ///
@@ -133,172 +85,36 @@ pub fn search_for_device_checkpointed(
     target_ms: f64,
     config: &PipelineConfig,
     rng: &mut StdRng,
-    opts: &CheckpointOptions,
+    opts: Option<&CheckpointOptions>,
 ) -> Result<SearchOutcome, PipelineError> {
-    let store = CheckpointStore::open(
-        &opts.dir,
-        Phase::Pipeline,
-        surrogate_config_hash(&space, &device, target_ms, config)?,
-        opts.keep_last,
-    )?;
-    let resume: Option<PipelineCkpt> = if opts.resume {
-        match store.load_latest()? {
-            Some((_, payload)) => Some(PipelineCkpt::decode(&payload)?),
-            None => None,
-        }
-    } else {
-        None
-    };
-    if let Some(state) = resume.as_ref().and_then(|r| r.search_rng) {
-        *rng = StdRng::from_state(state);
-    }
-
+    let mut boundaries = Checkpointer::open(opts, Phase::Pipeline, || {
+        surrogate_config_hash(&space, &device, target_ms, config)
+    })?;
     let oracle = SurrogateAccuracy::new(space.skeleton().clone());
-    let predictor = match resume.as_ref().and_then(|r| r.predictor_json.as_deref()) {
-        Some(json) => {
-            let snapshot: PredictorSnapshot =
-                serde_json::from_str(json).map_err(|e| PipelineError::Ckpt {
-                    detail: format!("invalid predictor snapshot in checkpoint: {e}"),
-                })?;
-            LatencyPredictor::from_snapshot(device.clone(), &space, snapshot).map_err(|e| {
-                PipelineError::Ckpt {
-                    detail: e.to_string(),
-                }
-            })?
-        }
-        None => {
-            let _span = hsconas_telemetry::span!("pipeline.calibrate");
-            LatencyPredictor::calibrate(
-                device.clone(),
-                &space,
-                config.calibration_archs,
-                config.calibration_repeats,
-                rng,
-            )?
-        }
-    };
+    let predictor = boundaries.calibrate(
+        device,
+        &space,
+        config.calibration_archs,
+        config.calibration_repeats,
+        rng,
+        None,
+    )?;
     let latency_bias_us = predictor.bias_us();
-    let predictor_json =
-        serde_json::to_string(&predictor.export()).map_err(|e| PipelineError::Ckpt {
-            detail: format!("serializing predictor snapshot: {e}"),
-        })?;
-    if resume.is_none() {
-        let payload = PipelineCkpt {
-            tag: TAG_CALIBRATED,
-            trainer: None,
-            cursor: None,
-            predictor_json: Some(predictor_json.clone()),
-            search_rng: Some(rng.state()),
-            stages: Vec::new(),
-            ea: None,
-        }
-        .encode()?;
-        store.save(CUR_CALIBRATED, &payload)?;
-    }
     let mut objective = build_objective(oracle, predictor, target_ms, config.beta);
-
-    // Shrinking is driven one stage per `run` call (instead of one call
-    // over all stages) so the RNG can be snapshotted between stages; the
-    // stream each stage consumes is identical either way. On resume the
-    // restricted space is rebuilt by replaying the checkpointed per-layer
-    // decisions over the original space.
-    let mut completed: Vec<StageRecord> = resume
-        .as_ref()
-        .filter(|r| r.tag >= TAG_SHRINK_STAGE)
-        .map_or_else(Vec::new, |r| r.stages.clone());
-    let (search_space, shrink) = if config.shrink {
-        let mut current = space.clone();
-        for record in &completed {
-            for decision in &record.decisions {
-                current = current.restrict_op(decision.layer, decision.chosen)?;
-            }
-        }
-        let shrink_span = hsconas_telemetry::span!(
-            "pipeline.shrink",
-            stages = config.shrink_config.stages.len()
-        );
-        for (stage_idx, layers) in config
-            .shrink_config
-            .stages
-            .iter()
-            .enumerate()
-            .skip(completed.len())
-        {
-            let engine = ProgressiveShrinking::new(ShrinkConfig {
-                stages: vec![layers.clone()],
-                samples_per_subspace: config.shrink_config.samples_per_subspace,
-            });
-            let result = engine.run(current.clone(), &mut objective, rng, |_, _| Ok(()))?;
-            current = result.space;
-            let mut record = result
-                .stages
-                .into_iter()
-                .next()
-                .expect("single-stage shrink yields one record");
-            record.stage = stage_idx;
-            completed.push(record);
-            let payload = PipelineCkpt {
-                tag: TAG_SHRINK_STAGE,
-                trainer: None,
-                cursor: None,
-                predictor_json: Some(predictor_json.clone()),
-                search_rng: Some(rng.state()),
-                stages: completed.clone(),
-                ea: None,
-            }
-            .encode()?;
-            store.save(CUR_SHRINK_BASE + stage_idx as u64 + 1, &payload)?;
-        }
-        shrink_span.close();
-        (
-            current.clone(),
-            Some(ShrinkResult {
-                space: current,
-                stages: completed.clone(),
-            }),
-        )
-    } else {
-        (space, None)
+    let shrink = match config.shrink {
+        true => Some(boundaries.shrink(
+            space.clone(),
+            &config.shrink_config,
+            &mut objective,
+            rng,
+            |_, _, _| Ok(()),
+            |_| None,
+        )?),
+        false => None,
     };
-
-    let evolution = {
-        let _span = hsconas_telemetry::span!("pipeline.search");
-        let mut search = EvolutionSearch::new(search_space, config.evolution);
-        let _ea_span = hsconas_telemetry::span!(
-            "ea.search",
-            generations = config.evolution.generations,
-            population = config.evolution.population,
-            parents = config.evolution.parents
-        );
-        let save_generation =
-            |state: &hsconas_evo::SearchState, rng: &StdRng| -> Result<(), PipelineError> {
-                let payload = PipelineCkpt {
-                    tag: TAG_EA_GEN,
-                    trainer: None,
-                    cursor: None,
-                    predictor_json: Some(predictor_json.clone()),
-                    search_rng: Some(rng.state()),
-                    stages: completed.clone(),
-                    ea: Some(state.clone()),
-                }
-                .encode()?;
-                store.save(CUR_EA_BASE + state.completed_generations() as u64, &payload)?;
-                Ok(())
-            };
-        let mut state = match resume.as_ref().and_then(|r| r.ea.clone()) {
-            Some(state) => state,
-            None => {
-                let state = search.init_state(&mut objective, rng)?;
-                save_generation(&state, rng)?;
-                state
-            }
-        };
-        while state.completed_generations() < config.evolution.generations {
-            search.step_generation(&mut state, &mut objective, rng)?;
-            save_generation(&state, rng)?;
-        }
-        search.finalize(&state)?
-    };
+    let search_space = shrink.as_ref().map_or(space, |s| s.space.clone());
+    let search = EvolutionSearch::new(search_space, config.evolution);
+    let evolution = boundaries.evolve(search, &mut objective, rng, |_| None)?;
     Ok(SearchOutcome {
         best_arch: evolution.best_arch.clone(),
         best: evolution.best_evaluation,

@@ -9,20 +9,18 @@
 //! the ImageNet-scale pipeline in [`crate::pipeline`] swaps in the
 //! calibrated surrogate oracle.
 
-use crate::checkpoint::{
-    real_config_hash, CheckpointOptions, PipelineCkpt, CUR_CALIBRATED, CUR_EA_BASE,
-    CUR_SHRINK_BASE, CUR_WARM_BASE, TAG_CALIBRATED, TAG_EA_GEN, TAG_SHRINK_STAGE, TAG_WARM,
-};
+use crate::checkpoint::{real_config_hash, CheckpointOptions, Checkpointer};
+use crate::error::objective_error;
 use crate::PipelineError;
-use hsconas_ckpt::{CheckpointStore, Phase};
+use hsconas_ckpt::Phase;
 use hsconas_data::SyntheticDataset;
-use hsconas_evo::{Evaluation, EvoError, EvolutionConfig, EvolutionSearch, Objective, SearchState};
+use hsconas_evo::{Evaluation, EvoError, EvolutionConfig, EvolutionSearch, Objective};
 use hsconas_hwsim::DeviceSpec;
-use hsconas_latency::{LatencyPredictor, PredictorSnapshot};
-use hsconas_shrink::{ProgressiveShrinking, ShrinkConfig, StageRecord};
+use hsconas_latency::LatencyPredictor;
+use hsconas_shrink::ShrinkConfig;
 use hsconas_space::{Arch, SearchSpace};
 use hsconas_supernet::subnet::{build_subnet, train_from_scratch};
-use hsconas_supernet::{Supernet, SupernetError, SupernetTrainer, TrainConfig, TrainCursor};
+use hsconas_supernet::{Supernet, SupernetTrainer, TrainConfig};
 use hsconas_tensor::rng::SmallRng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,9 +106,10 @@ pub struct RealPipelineResult {
 }
 
 /// Objective combining real inherited-weight accuracy with the latency
-/// predictor — Eq. 1 with no surrogate anywhere.
+/// predictor — Eq. 1 with no surrogate anywhere. It owns the supernet
+/// trainer, which shrinking fine-tunes between stages.
 struct InheritedWeightObjective<'a> {
-    trainer: &'a mut SupernetTrainer,
+    trainer: SupernetTrainer,
     data: &'a SyntheticDataset,
     predictor: &'a LatencyPredictor,
     eval_batches: usize,
@@ -165,24 +164,8 @@ pub fn run_real_pipeline_checkpointed(
     seed: u64,
     ckpt: Option<&CheckpointOptions>,
 ) -> Result<RealPipelineResult, PipelineError> {
-    let store = match ckpt {
-        Some(opts) => Some(CheckpointStore::open(
-            &opts.dir,
-            Phase::Pipeline,
-            real_config_hash(config, seed),
-            opts.keep_last,
-        )?),
-        None => None,
-    };
-    let resume: Option<PipelineCkpt> = match (&store, ckpt) {
-        (Some(store), Some(opts)) if opts.resume => match store.load_latest()? {
-            Some((_, payload)) => Some(PipelineCkpt::decode(&payload)?),
-            None => None,
-        },
-        _ => None,
-    };
-    let resume_tag = resume.as_ref().map_or(0, |r| r.tag);
-
+    let mut boundaries =
+        Checkpointer::open(ckpt, Phase::Pipeline, || Ok(real_config_hash(config, seed)))?;
     let space = SearchSpace::tiny(config.classes);
     let data = SyntheticDataset::new(config.classes, 32, seed);
     let mut train_rng = SmallRng::new(seed);
@@ -196,234 +179,62 @@ pub fn run_real_pipeline_checkpointed(
             .map_err(|e| objective_error(e.to_string()))?;
         SupernetTrainer::new(supernet, TrainConfig::quick_test())
     };
-    if let Some(r) = &resume {
-        let snapshot = r.trainer.as_ref().ok_or_else(|| PipelineError::Ckpt {
-            detail: "pipeline checkpoint is missing trainer state".into(),
-        })?;
-        trainer
-            .restore(snapshot)
-            .map_err(|e| objective_error(e.to_string()))?;
-    }
-    if resume_tag <= TAG_WARM {
-        let _span = hsconas_telemetry::span!("pipeline.train", steps = config.warm_steps);
-        let cursor = resume.as_ref().and_then(|r| r.cursor);
-        let interval = ckpt.map_or(0, |o| o.train_interval);
-        let mut save_mid_train =
-            |t: &mut SupernetTrainer, c: &TrainCursor| -> Result<(), SupernetError> {
-                let Some(store) = &store else { return Ok(()) };
-                let payload = PipelineCkpt {
-                    tag: TAG_WARM,
-                    trainer: Some(t.checkpoint()),
-                    cursor: Some(*c),
-                    predictor_json: None,
-                    search_rng: None,
-                    stages: Vec::new(),
-                    ea: None,
-                }
-                .encode()
-                .map_err(|e| SupernetError::Checkpoint {
-                    detail: e.to_string(),
-                })?;
-                store
-                    .save(CUR_WARM_BASE + c.step_in_call, &payload)
-                    .map_err(|e| SupernetError::Checkpoint {
-                        detail: e.to_string(),
-                    })?;
-                Ok(())
-            };
-        trainer
-            .train_steps_resumable(
-                &space,
-                &data,
-                config.warm_steps,
-                0.05,
-                &mut train_rng,
-                cursor.as_ref(),
-                interval,
-                &mut save_mid_train,
-            )
-            .map_err(|e| objective_error(e.to_string()))?;
-    }
+    boundaries.train_warm(
+        &mut trainer,
+        &space,
+        &data,
+        config.warm_steps,
+        0.05,
+        &mut train_rng,
+    )?;
 
     // 2. latency predictor for the edge device over the tiny space
     let mut search_rng = StdRng::seed_from_u64(seed ^ 0xdead);
-    if let Some(state) = resume.as_ref().and_then(|r| r.search_rng) {
-        search_rng = StdRng::from_state(state);
-    }
-    let predictor = match resume.as_ref().and_then(|r| r.predictor_json.as_deref()) {
-        Some(json) => {
-            let snapshot: PredictorSnapshot =
-                serde_json::from_str(json).map_err(|e| PipelineError::Ckpt {
-                    detail: format!("invalid predictor snapshot in checkpoint: {e}"),
-                })?;
-            LatencyPredictor::from_snapshot(DeviceSpec::edge_xavier(), &space, snapshot).map_err(
-                |e| PipelineError::Ckpt {
-                    detail: e.to_string(),
-                },
-            )?
-        }
-        None => {
-            let _span = hsconas_telemetry::span!("pipeline.calibrate");
-            LatencyPredictor::calibrate(DeviceSpec::edge_xavier(), &space, 20, 2, &mut search_rng)?
-        }
+    let predictor = boundaries.calibrate(
+        DeviceSpec::edge_xavier(),
+        &space,
+        20,
+        2,
+        &mut search_rng,
+        Some(&mut trainer),
+    )?;
+    let mut objective = InheritedWeightObjective {
+        trainer,
+        data: &data,
+        predictor: &predictor,
+        eval_batches: config.eval_batches,
+        target_ms: config.target_ms,
+        beta: config.beta,
     };
-    let predictor_json =
-        match &store {
-            Some(_) => Some(serde_json::to_string(&predictor.export()).map_err(|e| {
-                PipelineError::Ckpt {
-                    detail: format!("serializing predictor snapshot: {e}"),
-                }
-            })?),
-            None => None,
-        };
-    if let Some(store) = &store {
-        if resume_tag < TAG_CALIBRATED {
-            let payload = PipelineCkpt {
-                tag: TAG_CALIBRATED,
-                trainer: Some(trainer.checkpoint()),
-                cursor: None,
-                predictor_json: predictor_json.clone(),
-                search_rng: Some(search_rng.state()),
-                stages: Vec::new(),
-                ea: None,
-            }
-            .encode()?;
-            store.save(CUR_CALIBRATED, &payload)?;
-        }
-    }
 
     // 3. progressive shrinking: each stage picks operators by *real*
     //    inherited-weight quality, then fine-tunes in the shrunk space at
-    //    a reduced learning rate (the paper's 0.01-LR fine-tune). On
-    //    resume the restricted space is rebuilt by replaying the
-    //    checkpointed per-layer decisions.
-    let mut completed: Vec<StageRecord> = resume.as_ref().map_or_else(Vec::new, |r| {
-        if r.tag >= TAG_SHRINK_STAGE {
-            r.stages.clone()
-        } else {
-            Vec::new()
-        }
-    });
-    let mut current_space = space.clone();
-    for record in &completed {
-        for decision in &record.decisions {
-            current_space = current_space.restrict_op(decision.layer, decision.chosen)?;
-        }
-    }
-    let shrink_span =
-        hsconas_telemetry::span!("pipeline.shrink", stages = config.shrink_stages.len());
-    for (stage_idx, layers) in config
-        .shrink_stages
-        .iter()
-        .enumerate()
-        .skip(completed.len())
-    {
-        let stage = ProgressiveShrinking::new(ShrinkConfig {
-            stages: vec![layers.clone()],
-            samples_per_subspace: config.samples_per_subspace,
-        });
-        let result = {
-            let mut objective = InheritedWeightObjective {
-                trainer: &mut trainer,
-                data: &data,
-                predictor: &predictor,
-                eval_batches: config.eval_batches,
-                target_ms: config.target_ms,
-                beta: config.beta,
-            };
-            stage.run(
-                current_space.clone(),
-                &mut objective,
-                &mut search_rng,
-                |_, _| Ok(()),
-            )?
-        };
-        current_space = result.space;
-        let mut record = result
-            .stages
-            .into_iter()
-            .next()
-            .expect("single-stage shrink yields one record");
-        record.stage = stage_idx;
-        completed.push(record);
-        let mut ft_rng = SmallRng::new(seed ^ (stage_idx as u64 + 1));
-        trainer
-            .train_steps(
-                &current_space,
-                &data,
-                config.fine_tune_steps,
-                0.01,
-                &mut ft_rng,
-            )
-            .map_err(|e| objective_error(e.to_string()))?;
-        if let Some(store) = &store {
-            let payload = PipelineCkpt {
-                tag: TAG_SHRINK_STAGE,
-                trainer: Some(trainer.checkpoint()),
-                cursor: None,
-                predictor_json: predictor_json.clone(),
-                search_rng: Some(search_rng.state()),
-                stages: completed.clone(),
-                ea: None,
-            }
-            .encode()?;
-            store.save(CUR_SHRINK_BASE + stage_idx as u64 + 1, &payload)?;
-        }
-    }
-    shrink_span.close();
-
-    // 4. evolutionary search with inherited weights, driven one generation
-    //    at a time so a checkpoint lands after each. The trainer snapshot
-    //    is taken once up front: the EA only *evaluates* (BatchNorm
-    //    statistics are recalibrated per query and weights never change),
-    //    so every generation shares it.
-    let trainer_snapshot = store.as_ref().map(|_| trainer.checkpoint());
-    let evolution = {
-        let _span = hsconas_telemetry::span!("pipeline.search");
-        let mut objective = InheritedWeightObjective {
-            trainer: &mut trainer,
-            data: &data,
-            predictor: &predictor,
-            eval_batches: config.eval_batches,
-            target_ms: config.target_ms,
-            beta: config.beta,
-        };
-        let mut search = EvolutionSearch::new(current_space.clone(), config.evolution);
-        let _ea_span = hsconas_telemetry::span!(
-            "ea.search",
-            generations = config.evolution.generations,
-            population = config.evolution.population,
-            parents = config.evolution.parents
-        );
-        let save_generation = |state: &SearchState, rng: &StdRng| -> Result<(), PipelineError> {
-            let Some(store) = &store else { return Ok(()) };
-            let payload = PipelineCkpt {
-                tag: TAG_EA_GEN,
-                trainer: trainer_snapshot.clone(),
-                cursor: None,
-                predictor_json: predictor_json.clone(),
-                search_rng: Some(rng.state()),
-                stages: completed.clone(),
-                ea: Some(state.clone()),
-            }
-            .encode()?;
-            store.save(CUR_EA_BASE + state.completed_generations() as u64, &payload)?;
-            Ok(())
-        };
-        let mut state = match resume.as_ref().and_then(|r| r.ea.clone()) {
-            Some(state) => state,
-            None => {
-                let state = search.init_state(&mut objective, &mut search_rng)?;
-                save_generation(&state, &search_rng)?;
-                state
-            }
-        };
-        while state.completed_generations() < config.evolution.generations {
-            search.step_generation(&mut state, &mut objective, &mut search_rng)?;
-            save_generation(&state, &search_rng)?;
-        }
-        search.finalize(&state)?
+    //    a reduced learning rate (the paper's 0.01-LR fine-tune).
+    let schedule = ShrinkConfig {
+        stages: config.shrink_stages.clone(),
+        samples_per_subspace: config.samples_per_subspace,
     };
+    let shrunk = boundaries.shrink(
+        space.clone(),
+        &schedule,
+        &mut objective,
+        &mut search_rng,
+        |objective, stage_idx, space| {
+            let mut ft_rng = SmallRng::new(seed ^ (stage_idx as u64 + 1));
+            objective
+                .trainer
+                .train_steps(space, &data, config.fine_tune_steps, 0.01, &mut ft_rng)
+                .map(drop)
+                .map_err(|e| objective_error(e.to_string()))
+        },
+        |objective| Some(&mut objective.trainer),
+    )?;
+
+    // 4. evolutionary search with inherited weights
+    let search = EvolutionSearch::new(shrunk.space.clone(), config.evolution);
+    let evolution = boundaries.evolve(search, &mut objective, &mut search_rng, |objective| {
+        Some(&mut objective.trainer)
+    })?;
     let inherited_accuracy = evolution.best_evaluation.accuracy / 100.0;
 
     // 5. materialize and train from scratch
@@ -442,16 +253,12 @@ pub fn run_real_pipeline_checkpointed(
     .map_err(|e| objective_error(e.to_string()))?;
 
     Ok(RealPipelineResult {
-        shrunk_space: current_space,
+        shrunk_space: shrunk.space,
         best_arch: evolution.best_arch,
         inherited_accuracy,
         from_scratch_accuracy: scratch.accuracy,
         latency_ms: evolution.best_evaluation.latency_ms,
     })
-}
-
-fn objective_error(detail: String) -> PipelineError {
-    PipelineError::Evo(EvoError::Objective { detail })
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use hsconas_accuracy::{AccuracyModel, SurrogateAccuracy};
 use hsconas_baselines::zoo;
 use hsconas_hwsim::{lower_arch, DeviceSpec};
 use hsconas_space::{ChannelLayout, SearchSpace};
-use rand::Rng;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Row grouping, mirroring Table I's three sections.
@@ -71,9 +71,9 @@ pub fn baseline_rows() -> Vec<TableRow> {
 /// # Errors
 ///
 /// Returns [`PipelineError`] on any search failure.
-pub fn hsconet_rows<R: Rng + ?Sized>(
+pub fn hsconet_rows(
     config: &PipelineConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<Vec<TableRow>, PipelineError> {
     let targets = [("GPU", 9.0), ("CPU", 24.0), ("Edge", 34.0)];
     let mut rows = Vec::with_capacity(6);
@@ -113,9 +113,9 @@ fn layout_target(layout: ChannelLayout, device_index: usize) -> f64 {
 /// # Errors
 ///
 /// Returns [`PipelineError`] on any search failure.
-pub fn table_one<R: Rng + ?Sized>(
+pub fn table_one(
     config: &PipelineConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<Vec<TableRow>, PipelineError> {
     let mut rows = baseline_rows();
     rows.extend(hsconet_rows(config, rng)?);

@@ -161,8 +161,8 @@ impl ParetoObjective {
 }
 
 /// Resumable Pareto search state. Together with the driving RNG's state
-/// this is everything a checkpoint needs to continue bit-identically —
-/// the same cursor scheme the scalar EA uses (`CUR_EA_BASE + generation`).
+/// this is everything a checkpoint needs to continue bit-identically;
+/// its file cursor is `generation`, as for a standalone scalar EA.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParetoState {
     /// Generations completed beyond the initial population.

@@ -59,7 +59,7 @@ impl std::fmt::Display for LutImportError {
 impl std::error::Error for LutImportError {}
 
 /// Key identifying one profiled operator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct LutKey {
     /// Zero-based layer index.
     pub layer: usize,
@@ -188,12 +188,14 @@ impl LatencyLut {
 
     /// Exports the profiled entries for persistence (paired with the
     /// device name so a table is never replayed against the wrong
-    /// hardware).
+    /// hardware), sorted by key so equal tables export equal bytes.
     pub fn export(&self) -> LutSnapshot {
+        let mut entries: Vec<(LutKey, f64)> = self.entries.iter().map(|(k, v)| (*k, *v)).collect();
+        entries.sort_unstable_by_key(|(k, _)| *k);
         LutSnapshot {
             device_name: self.device.name.clone(),
             stem_us: self.stem_us,
-            entries: self.entries.iter().map(|(k, v)| (*k, *v)).collect(),
+            entries,
         }
     }
 

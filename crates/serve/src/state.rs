@@ -515,11 +515,12 @@ fn load_snapshot(
 }
 
 /// The generation stamp for a predictor: FNV-1a over a canonical
-/// rendering of its export. The export's entry list comes out of a
-/// `HashMap` in arbitrary order, so the entries are sorted first — the
+/// rendering of its export, with the rendered lines sorted as text — the
 /// stamp must be a pure function of the LUT *contents* for every process
 /// that loads (or deterministically calibrates) the same predictor to
-/// compute the same value.
+/// compute the same value. The export is already in key order; the text
+/// sort stays so stamps, spill file names and `.hsbt` stamps written
+/// earlier keep their values.
 fn predictor_generation(predictor: &LatencyPredictor) -> u64 {
     let snapshot = predictor.export();
     let mut lines: Vec<String> = snapshot

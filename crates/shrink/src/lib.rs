@@ -11,6 +11,10 @@
 //! reduces the space by `5⁴ ≈ 625×` (the "three orders of magnitude" of
 //! the paper; evaluating `5 × 4` subspaces instead of `5⁴`).
 //!
+//! [`ProgressiveShrinking::run`] is the one entry point. Crash-safe
+//! drivers (the `hsconas` pipelines) resume by calling it one stage at a
+//! time over a space rebuilt from the saved [`LayerDecision`]s.
+//!
 //! ## Example
 //!
 //! ```

@@ -95,6 +95,11 @@ impl ProgressiveShrinking {
     /// prescribes ("when evaluating the 19-th layer, we fix the operator
     /// of \[the\] 20-th layer").
     ///
+    /// A driver that checkpoints between stages calls this once per stage
+    /// with a one-stage schedule, restricting the space it passes in by
+    /// the saved [`LayerDecision`]s on resume: the hook cannot reach the
+    /// RNG to save it, and a stage consumes the same RNG stream either way.
+    ///
     /// # Errors
     ///
     /// Returns [`EvoError`] if a layer index is invalid, the objective
@@ -110,38 +115,9 @@ impl ProgressiveShrinking {
         R: Rng + ?Sized,
         F: FnMut(usize, &SearchSpace) -> Result<(), EvoError>,
     {
-        self.run_from(space, objective, rng, 0, |record, space| {
-            on_stage_complete(record.stage, space)
-        })
-    }
-
-    /// Like [`Self::run`], but starts at `start_stage` — the resume entry
-    /// point. `space` must already be restricted through the completed
-    /// stages (rebuild it by replaying the saved [`LayerDecision`]s with
-    /// [`SearchSpace::restrict_op`]); the returned result covers only the
-    /// stages actually executed, so a resuming caller merges it with its
-    /// saved records. The hook receives the full [`StageRecord`] so a
-    /// checkpoint writer can persist each stage's decisions as they land.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvoError`] if a layer index is invalid, the objective
-    /// fails, or the callback reports an error.
-    pub fn run_from<R, F>(
-        &self,
-        space: SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut R,
-        start_stage: usize,
-        mut on_stage_complete: F,
-    ) -> Result<ShrinkResult, EvoError>
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&StageRecord, &SearchSpace) -> Result<(), EvoError>,
-    {
         let mut current = space;
-        let mut stages = Vec::with_capacity(self.config.stages.len().saturating_sub(start_stage));
-        for (stage_idx, layers) in self.config.stages.iter().enumerate().skip(start_stage) {
+        let mut stages = Vec::with_capacity(self.config.stages.len());
+        for (stage_idx, layers) in self.config.stages.iter().enumerate() {
             let mut stage_span =
                 hsconas_telemetry::span!("shrink.stage", stage = stage_idx, layers = layers.len());
             let log10_size_before = current.log10_size();
@@ -205,7 +181,7 @@ impl ProgressiveShrinking {
             stage_span.record("orders_removed", record.orders_removed());
             // The stage span stays open across the hook so the paper's
             // per-stage fine-tune (run inside it) nests under `shrink.stage`.
-            on_stage_complete(&record, &current)?;
+            on_stage_complete(stage_idx, &current)?;
             stages.push(record);
             stage_span.close();
         }

@@ -3,7 +3,8 @@
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are per-instance atomic
 //! cells addressed by a `&'static str` key. Updating one is a single relaxed
 //! atomic op — no lock is touched on the hot path. The global registry keeps
-//! only [`Weak`] references so dropping a handle never leaks; totals from
+//! only [`Weak`] references, pruned whenever a list fills, so dropping a
+//! handle never leaks and handle churn does not grow it; totals from
 //! dropped cells are folded into a retired ledger (guarded by a *separate*
 //! mutex so a drop racing a snapshot cannot deadlock). [`snapshot`]
 //! aggregates live cells plus retired totals per key, sorted by key, which is
@@ -151,6 +152,19 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     hists: Vec::new(),
 });
 
+/// Registers `cell` in `list`. Dead entries are pruned only when the list
+/// is full, and the list then keeps room for as many pushes again as it
+/// has live entries: registering stays amortised O(1), and a process that
+/// creates and drops handles per request keeps a list bounded by its live
+/// handles instead of growing with traffic.
+fn register_cell<T>(list: &mut Vec<(&'static str, Weak<T>)>, key: &'static str, cell: &Arc<T>) {
+    if list.len() == list.capacity() {
+        list.retain(|(_, w)| w.strong_count() > 0);
+        list.reserve(list.len());
+    }
+    list.push((key, Arc::downgrade(cell)));
+}
+
 static RETIRED_COUNTERS: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
 static RETIRED_GAUGES: Mutex<Vec<(&'static str, f64)>> = Mutex::new(Vec::new());
 static RETIRED_HISTS: Mutex<Vec<(&'static str, HistData)>> = Mutex::new(Vec::new());
@@ -199,7 +213,7 @@ impl Counter {
             key,
             value: AtomicU64::new(0),
         });
-        REGISTRY.lock().counters.push((key, Arc::downgrade(&cell)));
+        register_cell(&mut REGISTRY.lock().counters, key, &cell);
         Counter { cell }
     }
 
@@ -241,7 +255,7 @@ impl Gauge {
             bits: AtomicU64::new(0f64.to_bits()),
             written: AtomicU64::new(0),
         });
-        REGISTRY.lock().gauges.push((key, Arc::downgrade(&cell)));
+        register_cell(&mut REGISTRY.lock().gauges, key, &cell);
         Gauge { cell }
     }
 
@@ -269,7 +283,7 @@ impl Histogram {
     /// Creates a fresh cell registered under `key`.
     pub fn register(key: &'static str) -> Histogram {
         let cell = Arc::new(HistCell::new(key));
-        REGISTRY.lock().hists.push((key, Arc::downgrade(&cell)));
+        register_cell(&mut REGISTRY.lock().hists, key, &cell);
         Histogram { cell }
     }
 
@@ -627,6 +641,25 @@ mod tests {
             .map(|(_, v)| *v)
             .unwrap();
         assert!(total >= 11);
+    }
+
+    #[test]
+    fn registering_dropped_handles_keeps_the_registry_bounded() {
+        const N: u64 = 100_000;
+        for _ in 0..N {
+            let c = Counter::register("test.registry.churn");
+            c.incr();
+        }
+        // Every handle above is dead, so only the handles other tests hold
+        // live can keep entries: the list must not grow with N.
+        let len = REGISTRY.lock().counters.len();
+        assert!(len < 4096, "registry holds {len} entries after {N} drops");
+        let total = snapshot()
+            .counters
+            .iter()
+            .find(|(k, _)| k == "test.registry.churn")
+            .map(|(_, v)| *v);
+        assert_eq!(total, Some(N), "pruning must not lose retired totals");
     }
 
     #[test]

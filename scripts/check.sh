@@ -53,15 +53,17 @@ run_gate "cargo test" \
 run_gate "kernel differential (scalar forced)" \
     env HSCONAS_KERNEL=scalar cargo test -q -p hsconas --test kernel_differential
 
-# Band-parallel determinism: the differential + pack-cache suites and the
-# supernet masked-forward exactness test are bit-identity contracts, so
-# they must hold with the band worker count pinned to 1 and to 8.
+# Band-parallel determinism: the differential + pack-cache suites, the
+# supernet masked-forward exactness test and the checkpoint resume suite
+# are bit-identity contracts, so they must hold with the band worker count
+# pinned to 1 and to 8.
 for kt in 1 8; do
     run_gate "kernel suites (HSCONAS_KERNEL_THREADS=${kt})" \
         env HSCONAS_KERNEL_THREADS="${kt}" bash -c \
         "cargo test -q -p hsconas --test kernel_differential \
          && cargo test -q -p hsconas --test pack_cache \
-         && cargo test -q -p hsconas-supernet masking_is_exact_through_packed_kernels"
+         && cargo test -q -p hsconas-supernet masking_is_exact_through_packed_kernels \
+         && cargo test -q --release -p hsconas --test checkpoint_resume"
 done
 
 # Fault-injection suite: kills a checkpoint write at every named site and

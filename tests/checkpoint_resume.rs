@@ -10,8 +10,9 @@ use std::path::{Path, PathBuf};
 
 use hsconas::checkpoint::inspect_checkpoint;
 use hsconas::{
-    run_real_pipeline, run_real_pipeline_checkpointed, run_search_checkpointed, CheckpointOptions,
-    PipelineError, RealPipelineConfig,
+    run_real_pipeline, run_real_pipeline_checkpointed, run_search_checkpointed, search_for_device,
+    search_for_device_checkpointed, CheckpointOptions, PipelineConfig, PipelineError,
+    RealPipelineConfig, SearchOutcome,
 };
 use hsconas_evo::{
     Evaluation, EvoError, EvolutionConfig, EvolutionSearch, MemoObjective, ParallelObjective,
@@ -156,6 +157,84 @@ fn real_pipeline_refuses_checkpoints_from_a_different_run() {
 }
 
 // ---------------------------------------------------------------------------
+// Surrogate pipeline: every boundary, bit-identical
+// ---------------------------------------------------------------------------
+
+/// Runs the surrogate pipeline for (seed 3, cpu, 24 ms) and returns the
+/// outcome with the driving RNG's final state.
+fn surrogate_run(opts: Option<&CheckpointOptions>) -> (SearchOutcome, [u64; 4]) {
+    let space = SearchSpace::hsconas_a();
+    let device = DeviceSpec::cpu_xeon_6136();
+    let config = PipelineConfig::fast_test();
+    let mut rng = StdRng::seed_from_u64(3);
+    let outcome = match opts {
+        Some(opts) => {
+            search_for_device_checkpointed(space, device, 24.0, &config, &mut rng, Some(opts))
+        }
+        None => search_for_device(space, device, 24.0, &config, &mut rng),
+    }
+    .expect("surrogate pipeline");
+    (outcome, rng.state())
+}
+
+fn assert_same_outcome(
+    got: &(SearchOutcome, [u64; 4]),
+    want: &(SearchOutcome, [u64; 4]),
+    what: &str,
+) {
+    assert_eq!(got.0.best_arch, want.0.best_arch, "winner diverged: {what}");
+    assert_eq!(
+        got.0.best.score.to_bits(),
+        want.0.best.score.to_bits(),
+        "score diverged: {what}"
+    );
+    assert_eq!(
+        got.0.latency_bias_us.to_bits(),
+        want.0.latency_bias_us.to_bits(),
+        "bias diverged: {what}"
+    );
+    assert_eq!(
+        got.0.evolution, want.0.evolution,
+        "EA history diverged: {what}"
+    );
+    assert_eq!(
+        got.0.shrink, want.0.shrink,
+        "shrink record diverged: {what}"
+    );
+    assert_eq!(got.1, want.1, "final RNG state diverged: {what}");
+}
+
+#[test]
+fn surrogate_pipeline_resumes_bit_identically_from_every_boundary() {
+    let reference = surrogate_run(None);
+
+    let full = ScratchDir::new("surrogate-full");
+    let opts = CheckpointOptions::new(full.path()).keep_last(0);
+    assert_same_outcome(&surrogate_run(Some(&opts)), &reference, "checkpointed run");
+
+    // calibration + one per shrink stage + initial population + one per
+    // EA generation
+    let config = PipelineConfig::fast_test();
+    let files = checkpoint_files(full.path());
+    assert_eq!(
+        files.len(),
+        1 + config.shrink_config.stages.len() + 1 + config.evolution.generations
+    );
+    for count in 1..=files.len() {
+        let partial = ScratchDir::new(&format!("surrogate-prefix-{count}"));
+        copy_prefix(&files, count, partial.path());
+        let opts = CheckpointOptions::new(partial.path())
+            .resume(true)
+            .keep_last(0);
+        assert_same_outcome(
+            &surrogate_run(Some(&opts)),
+            &reference,
+            &format!("resuming from checkpoint {count}/{}", files.len()),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // EA search: kill/resume across worker-thread counts
 // ---------------------------------------------------------------------------
 
@@ -196,7 +275,7 @@ fn run_ea(dir: &Path, resume: bool, threads: usize, seed: u64) -> SearchResult {
     let mut search = EvolutionSearch::new(space, ea_config());
     let mut rng = StdRng::seed_from_u64(seed);
     let opts = CheckpointOptions::new(dir).resume(resume).keep_last(0);
-    run_search_checkpointed(&mut search, &mut objective, &mut rng, &opts).expect("search")
+    run_search_checkpointed(&mut search, &mut objective, &mut rng, Some(&opts)).expect("search")
 }
 
 #[test]
@@ -235,7 +314,7 @@ fn ea_checkpoint_retention_keeps_last_k() {
     let mut search = EvolutionSearch::new(space, ea_config());
     let mut rng = StdRng::seed_from_u64(3);
     let opts = CheckpointOptions::new(dir.path()).keep_last(2);
-    run_search_checkpointed(&mut search, &mut objective, &mut rng, &opts).expect("search");
+    run_search_checkpointed(&mut search, &mut objective, &mut rng, Some(&opts)).expect("search");
     let files = checkpoint_files(dir.path());
     assert_eq!(files.len(), 2, "retention must prune to keep_last");
     // The survivors are the newest: the last two generations.
@@ -273,7 +352,7 @@ fn resume_err_after(dir: &Path, mutate: impl FnOnce(&mut Vec<u8>)) -> PipelineEr
     let mut search = EvolutionSearch::new(space, ea_config());
     let mut rng = StdRng::seed_from_u64(21);
     let opts = CheckpointOptions::new(dir).resume(true).keep_last(0);
-    run_search_checkpointed(&mut search, &mut objective, &mut rng, &opts)
+    run_search_checkpointed(&mut search, &mut objective, &mut rng, Some(&opts))
         .expect_err("corrupt checkpoint must be rejected")
 }
 
@@ -368,7 +447,7 @@ fn tiny_ea(dir: &Path, resume: bool, seed: u64) -> SearchResult {
     let mut search = EvolutionSearch::new(space, config);
     let mut rng = StdRng::seed_from_u64(seed);
     let opts = CheckpointOptions::new(dir).resume(resume).keep_last(0);
-    run_search_checkpointed(&mut search, &mut objective, &mut rng, &opts).expect("search")
+    run_search_checkpointed(&mut search, &mut objective, &mut rng, Some(&opts)).expect("search")
 }
 
 proptest! {

@@ -111,3 +111,19 @@ fn bias_equals_structural_overhead_up_to_noise() {
     let rel = (predictor.bias_us() / expected - 1.0).abs();
     assert!(rel < 0.03, "bias off by {:.1}%", rel * 100.0);
 }
+
+/// Two predictors calibrated from the same seed hold the same table, so
+/// their snapshots must serialize to the same bytes (checkpoints and the
+/// serving daemon's persisted predictors depend on it).
+#[test]
+fn equal_predictors_export_identical_bytes() {
+    let space = SearchSpace::hsconas_a();
+    let export = || {
+        let mut rng = StdRng::seed_from_u64(7);
+        let predictor =
+            LatencyPredictor::calibrate(DeviceSpec::edge_xavier(), &space, 20, 2, &mut rng)
+                .unwrap();
+        serde_json::to_string(&predictor.export()).unwrap()
+    };
+    assert_eq!(export(), export());
+}
