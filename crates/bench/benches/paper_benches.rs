@@ -244,6 +244,34 @@ fn bench_conv2d_batch_parallel(c: &mut Criterion) {
     hsconas_par::set_default_threads(0);
 }
 
+/// Depthwise convolution (forward + backward) on the direct depthwise
+/// kernels, at the search space's smallest and largest kernel sizes.
+fn bench_conv2d_depthwise(c: &mut Criterion) {
+    use hsconas_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dParams};
+    use hsconas_tensor::Tensor;
+    for kernel in [3usize, 7] {
+        let params = Conv2dParams {
+            c_in: 48,
+            c_out: 48,
+            kernel,
+            stride: 1,
+            pad: kernel / 2,
+            groups: 48,
+        };
+        let mut rng = hsconas_tensor::rng::SmallRng::new(10);
+        let input = Tensor::randn([16, 48, 16, 16], 1.0, &mut rng);
+        let weight = Tensor::randn(params.weight_shape(), 0.1, &mut rng);
+        let out = conv2d_forward(&input, &weight, &params).unwrap();
+        let grad_out = Tensor::full(out.shape(), 1.0);
+        c.bench_function(&format!("conv2d_dw_fwd_k{kernel}_batch16"), |b| {
+            b.iter(|| black_box(conv2d_forward(&input, &weight, &params).unwrap()))
+        });
+        c.bench_function(&format!("conv2d_dw_bwd_k{kernel}_batch16"), |b| {
+            b.iter(|| black_box(conv2d_backward(&input, &weight, &grad_out, &params).unwrap()))
+        });
+    }
+}
+
 /// One EA generation's worth of candidate evaluations, serial vs fanned
 /// out over the worker pool, reported in archs/sec.
 fn bench_ea_generation_parallel(c: &mut Criterion) {
@@ -378,6 +406,7 @@ criterion_group!(
     bench_kernels,
     bench_matmul_tiled,
     bench_conv2d_batch_parallel,
+    bench_conv2d_depthwise,
     bench_ea_generation_parallel,
     bench_population_eval_prefix_cache
 );

@@ -406,6 +406,7 @@ fn main() {
                     ("direct", Value::U64(counts.direct)),
                     ("scalar", Value::U64(counts.scalar)),
                     ("avx2", Value::U64(counts.avx2)),
+                    ("depthwise", Value::U64(counts.depthwise)),
                 ]),
             ),
             (

@@ -434,7 +434,8 @@ fn fold_safe(op: &GraphOp, inputs_all_zero: bool) -> bool {
     match op {
         // A zero GEMM yields exact +0 under every kernel; a pinned
         // tiny/skinny reference shape always dispatches onto the direct
-        // path, which is fixed scalar code with no runtime variant.
+        // path, which is fixed scalar code with no runtime variant (as
+        // are the depthwise kernels, whose reference shape is skinny).
         GraphOp::Conv { ref_gemm, .. } | GraphOp::FusedConvBn { ref_gemm, .. } => {
             inputs_all_zero
                 || matches!(

@@ -1042,7 +1042,8 @@ fn build_status(shared: &Arc<Shared>) -> Json {
         (
             // Which GEMM kernel the tensor layer selected on this host
             // (HSCONAS_KERNEL override included), how many dispatches each
-            // variant has taken since startup, how the band-parallel
+            // variant has taken since startup (plus the depthwise convs
+            // that run on their own kernels), how the band-parallel
             // driver split them, and the packed-weight cache counters.
             "kernel",
             {
@@ -1060,6 +1061,7 @@ fn build_status(shared: &Arc<Shared>) -> Json {
                             ("direct", Json::Num(counts.direct as f64)),
                             ("scalar", Json::Num(counts.scalar as f64)),
                             ("avx2", Json::Num(counts.avx2 as f64)),
+                            ("depthwise", Json::Num(counts.depthwise as f64)),
                         ]),
                     ),
                     (

@@ -4,15 +4,22 @@
 //! Weights are stored as `[c_out, c_in / groups, k, k]` tensors. Depthwise
 //! convolution is the special case `groups == c_in == c_out`.
 //!
-//! All three GEMM products here (forward `W·col`, weight gradient
-//! `dOut·colᵀ`, input gradient `Wᵀ·dOut`) dispatch through the packed
-//! SIMD kernel layer ([`crate::kernels`]); the forward product's weight
-//! operand carries the supernet's channel masks as zero rows, which the
-//! packing step detects per `MR`-row panel and skips outright, so a
-//! scaled-down candidate pays only for its live channels. The weight
-//! operands (forward and the `Wᵀ·dOut` input-gradient product) carry
-//! pack-cache tags, so their panels pack once per weight generation in
-//! the persistent cache instead of once per image.
+//! Standard and grouped convolutions lower each group to three GEMM
+//! products (forward `W·col`, weight gradient `dOut·colᵀ`, input gradient
+//! `Wᵀ·dOut`) that dispatch through the packed SIMD kernel layer
+//! ([`crate::kernels`]); the forward product's weight operand carries the
+//! supernet's channel masks as zero rows, which the packing step detects
+//! per `MR`-row panel and skips outright, so a scaled-down candidate pays
+//! only for its live channels. The weight operands (forward and the
+//! `Wᵀ·dOut` input-gradient product) carry pack-cache tags, so their
+//! panels pack once per weight generation in the persistent cache instead
+//! of once per image.
+//!
+//! Depthwise convolutions skip that lowering: per channel it would be a
+//! `1 × k²` GEMM, so they run on direct kernels instead
+//! (`kernels::depthwise`) that reproduce the direct GEMM loops'
+//! accumulation order bit for bit, stage no im2col patch, and skip masked
+//! (all-zero) channels outright.
 //!
 //! Pointwise convolutions (`kernel == 1`, `stride == 1`, `pad == 0`) skip
 //! the im2col staging copy entirely: the column matrix is exactly the
@@ -30,7 +37,7 @@
 //! which reproduces the serial addition order exactly.
 
 use crate::im2col::{col2im, im2col, ConvGeom};
-use crate::kernels::GemmTags;
+use crate::kernels::{depthwise, GemmTags};
 use crate::matmul::{matmul_a_bt, matmul_accumulate_tagged, matmul_at_b_tagged};
 use crate::scratch::with_scratch;
 use crate::{Shape4, Tensor, TensorError};
@@ -107,6 +114,12 @@ impl Conv2dParams {
         self.kernel == 1 && self.stride == 1 && self.pad == 0
     }
 
+    /// True for depthwise convolutions (one input and one output channel
+    /// per group), which run on the direct depthwise kernels.
+    fn is_depthwise(&self) -> bool {
+        self.groups == self.c_in && self.c_in == self.c_out
+    }
+
     fn geom(&self, h: usize, w: usize) -> ConvGeom {
         ConvGeom {
             channels: self.c_in / self.groups,
@@ -140,6 +153,8 @@ pub fn conv2d_forward(
 /// pruned product must accumulate in the same order as the full-width
 /// reference product so that removing exactly-zero rows/columns is
 /// bit-preserving. `None` behaves exactly like [`conv2d_forward`].
+/// Depthwise convolutions ignore `ref_gemm`: their direct kernels have one
+/// accumulation order at every channel count.
 ///
 /// # Errors
 ///
@@ -183,7 +198,17 @@ pub fn conv2d_forward_pinned(
     let input_data = input.data();
     let weight_data = weight.data();
     let pointwise = params.is_pointwise();
+    // Depthwise weights are gathered once per call, masked channels dropped.
+    let dw = params.is_depthwise().then(|| {
+        depthwise::counter().incr();
+        depthwise::Weights::gather(weight_data, krows, true)
+    });
     let forward_one = |n: usize, out_image: &mut [f32]| {
+        if let Some(w) = &dw {
+            let image = &input_data[n * in_stride..(n + 1) * in_stride];
+            depthwise::forward_image(image, w, out_image, &geom);
+            return;
+        }
         // out = W · col per group; the weight operand is tagged so its
         // packed panels come from the persistent cache.
         let group_product = |g: usize, col: &[f32], out_image: &mut [f32]| {
@@ -316,11 +341,23 @@ pub fn conv2d_backward(
     let weight_data = weight.data();
     let grad_out_data = grad_out.data();
     let pointwise = params.is_pointwise();
+    // Depthwise weights are gathered once per call, every channel kept:
+    // masked channels still have a weight gradient.
+    let dw = params.is_depthwise().then(|| {
+        depthwise::counter().incr();
+        depthwise::Weights::gather(weight_data, krows, false)
+    });
     // Per-image work: fills this image's slice of dInput and returns its
     // dW contribution. Scratch buffers come from the thread's pool.
     let backward_one = |n: usize, gin_image: &mut [f32]| -> Vec<f32> {
         let mut gw = crate::arena::take_buffer(w_len);
         gw.resize(w_len, 0.0);
+        if let Some(w) = &dw {
+            let image = &input_data[n * in_stride..(n + 1) * in_stride];
+            let dout = &grad_out_data[n * out_stride..(n + 1) * out_stride];
+            depthwise::backward_image(image, dout, w, gin_image, &mut gw, &geom);
+            return gw;
+        }
         if pointwise {
             // col ≡ the input plane matrix and col2im is the identity
             // accumulation, so both products run in place: dW reads the
@@ -508,21 +545,126 @@ mod tests {
         assert_close(&got, &naive_conv(&x, &w, &p), 1e-3);
     }
 
+    fn dw_params(c: usize, kernel: usize, stride: usize) -> Conv2dParams {
+        Conv2dParams {
+            c_in: c,
+            c_out: c,
+            kernel,
+            stride,
+            pad: kernel / 2,
+            groups: c,
+        }
+    }
+
     #[test]
     fn forward_matches_naive_depthwise() {
         let mut rng = SmallRng::new(3);
-        let p = Conv2dParams {
-            c_in: 8,
-            c_out: 8,
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-            groups: 8,
-        };
-        let x = Tensor::randn([2, 8, 6, 6], 1.0, &mut rng);
-        let w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
-        let got = conv2d_forward(&x, &w, &p).unwrap();
-        assert_close(&got, &naive_conv(&x, &w, &p), 1e-3);
+        for kernel in [3, 5, 7] {
+            for stride in [1, 2] {
+                for (h, w) in [(6, 6), (7, 5), (1, 1), (2, 2)] {
+                    let p = dw_params(8, kernel, stride);
+                    let x = Tensor::randn([2, 8, h, w], 1.0, &mut rng);
+                    let wt = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
+                    let got = conv2d_forward(&x, &wt, &p).unwrap();
+                    assert_close(&got, &naive_conv(&x, &wt, &p), 1e-3);
+                }
+            }
+        }
+    }
+
+    /// The per-channel route depthwise convolutions took before the
+    /// direct kernels: one im2col + `1×k²×cols` GEMM per channel forward,
+    /// `matmul_a_bt` for dW and `matmul_at_b` + `col2im` for dIn, with
+    /// per-image dW partials merged in batch order.
+    fn staged_depthwise(
+        x: &Tensor,
+        w: &Tensor,
+        dy: &Tensor,
+        p: &Conv2dParams,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        use crate::matmul::{matmul_a_bt, matmul_accumulate, matmul_at_b};
+        let s = x.shape();
+        let geom = p.geom(s.h, s.w);
+        let (in_plane, cols, taps) = (s.h * s.w, geom.col_cols(), geom.col_rows());
+        let mut y = vec![0.0f32; s.n * p.c_out * cols];
+        let mut din = vec![0.0f32; x.len()];
+        let mut dw = vec![0.0f32; w.len()];
+        let mut col = vec![0.0f32; taps * cols];
+        let mut dcol = vec![0.0f32; taps * cols];
+        for n in 0..s.n {
+            let mut partial = vec![0.0f32; w.len()];
+            for c in 0..p.c_in {
+                let xi = (n * p.c_in + c) * in_plane;
+                let yi = (n * p.c_out + c) * cols;
+                let wc = &w.data()[c * taps..(c + 1) * taps];
+                im2col(&x.data()[xi..xi + in_plane], &geom, &mut col);
+                matmul_accumulate(wc, &col, &mut y[yi..yi + cols], 1, taps, cols);
+                let dout = &dy.data()[yi..yi + cols];
+                let pw = &mut partial[c * taps..(c + 1) * taps];
+                matmul_a_bt(dout, &col, pw, 1, cols, taps);
+                dcol.fill(0.0);
+                matmul_at_b(wc, dout, &mut dcol, 1, taps, cols);
+                col2im(&dcol, &geom, &mut din[xi..xi + in_plane]);
+            }
+            for (acc, v) in dw.iter_mut().zip(&partial) {
+                *acc += v;
+            }
+        }
+        (y, din, dw)
+    }
+
+    fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn depthwise_matches_staged_gemm_bit_for_bit() {
+        let mut rng = SmallRng::new(31);
+        // (channels, batch, kernel, stride, plane): every kernel × stride
+        // over planes from 1×1 (pad ≥ plane) up, cols not a multiple of 8
+        // included; the last shape carries 32·16·16·49 ≈ 400k MACs per
+        // image, above PAR_MAC_THRESHOLD, so it fans out over the pool.
+        let mut cases = Vec::new();
+        for kernel in [3, 5, 7] {
+            for stride in [1, 2] {
+                for plane in [1, 2, 4, 8, 9, 16] {
+                    cases.push((5, 2, kernel, stride, plane));
+                }
+            }
+        }
+        cases.push((32, 3, 7, 1, 16));
+        for threads in [1, 4] {
+            hsconas_par::set_default_threads(threads);
+            for &(c, batch, kernel, stride, plane) in &cases {
+                let p = dw_params(c, kernel, stride);
+                let x = Tensor::randn([batch, c, plane, plane], 1.0, &mut rng);
+                let mut w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
+                let taps = kernel * kernel;
+                // Channel 2 is masked; isolated zero taps elsewhere.
+                w.data_mut()[2 * taps..3 * taps].fill(0.0);
+                w.data_mut()[0] = 0.0;
+                w.data_mut()[taps + taps / 2] = 0.0;
+                w.data_mut()[4 * taps - 1] = 0.0;
+                let y = conv2d_forward(&x, &w, &p).unwrap();
+                let mut dy = Tensor::randn(y.shape(), 1.0, &mut rng);
+                // An all-zero output-gradient plane (image 0, channel 1).
+                let out_plane = y.shape().h * y.shape().w;
+                dy.data_mut()[out_plane..2 * out_plane].fill(0.0);
+                let g = conv2d_backward(&x, &w, &dy, &p).unwrap();
+
+                let (want_y, want_din, want_dw) = staged_depthwise(&x, &w, &dy, &p);
+                let case = format!("c{c} n{batch} k{kernel} s{stride} {plane}x{plane} t{threads}");
+                assert_bits(&format!("{case} y"), y.data(), &want_y);
+                assert_bits(&format!("{case} dIn"), g.input.data(), &want_din);
+                assert_bits(&format!("{case} dW"), g.weight.data(), &want_dw);
+                let masked = &y.data()[2 * out_plane..3 * out_plane];
+                assert!(masked.iter().all(|v| v.to_bits() == 0), "{case}: masked");
+            }
+        }
+        hsconas_par::set_default_threads(0);
     }
 
     #[test]

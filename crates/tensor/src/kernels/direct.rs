@@ -221,10 +221,14 @@ pub(crate) fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
     }
 }
 
-/// Dot product with eight parallel accumulator lanes.
+/// Accumulator lanes of [`dot_lanes`].
+pub(crate) const LANES: usize = 8;
+
+/// Dot product with eight parallel accumulator lanes: element `l` of each
+/// full eight-element chunk goes to lane `l`, the lanes are reduced by
+/// [`reduce_lanes`], then the tail is added in order.
 #[inline]
 fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    const LANES: usize = 8;
     let mut lanes = [0.0f32; LANES];
     let chunks = a.len() / LANES;
     for ck in 0..chunks {
@@ -234,9 +238,15 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
             lanes[l] += a_c[l] * b_c[l];
         }
     }
-    let mut acc = lanes.iter().sum::<f32>();
+    let mut acc = reduce_lanes(&lanes);
     for l in chunks * LANES..a.len() {
         acc += a[l] * b[l];
     }
     acc
+}
+
+/// The lane reduction of [`dot_lanes`].
+#[inline]
+pub(crate) fn reduce_lanes(lanes: &[f32; LANES]) -> f32 {
+    lanes.iter().sum::<f32>()
 }

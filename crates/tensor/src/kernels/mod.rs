@@ -44,7 +44,10 @@
 //! increments a per-variant dispatch counter plus a parallel/serial path
 //! counter, registry cells keyed `kernel.dispatch.*` and `kernel.gemm.*`,
 //! so benchmark numbers are attributable to the kernel and decomposition
-//! that actually ran (`hsconas report`, serve `status`).
+//! that actually ran (`hsconas report`, serve `status`). Depthwise
+//! convolutions never reach [`gemm`]: they run on the direct kernels in
+//! `depthwise`, which count `kernel.dispatch.depthwise` once per
+//! convolution call.
 //!
 //! Determinism contract: for a fixed variant the accumulation order is a
 //! pure function of `(op, m, k, n)` — fixed blocking, fixed panel walk,
@@ -67,6 +70,7 @@ use hsconas_telemetry::Counter;
 use crate::scratch::with_scratch;
 
 pub mod cache;
+pub(crate) mod depthwise;
 pub(crate) mod direct;
 pub mod pack;
 mod scalar;
@@ -424,7 +428,8 @@ fn band_counters() -> &'static [Counter; 2] {
     })
 }
 
-/// Per-variant totals of GEMM calls executed by this process.
+/// Per-variant totals of GEMM calls executed by this process, plus the
+/// depthwise convolutions that run on their own kernels instead.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchCounts {
     /// Calls taken by the legacy direct path.
@@ -433,6 +438,10 @@ pub struct DispatchCounts {
     pub scalar: u64,
     /// Calls taken by the AVX2+FMA kernel.
     pub avx2: u64,
+    /// Depthwise convolution calls (forward or backward, one per call,
+    /// not per channel plane) run by the direct depthwise kernels; no GEMM
+    /// is dispatched for them.
+    pub depthwise: u64,
 }
 
 /// Snapshot of the dispatch counters (serve `status`, reports, tests).
@@ -442,6 +451,7 @@ pub fn dispatch_counts() -> DispatchCounts {
         direct: direct.get(),
         scalar: scalar.get(),
         avx2: avx2.get(),
+        depthwise: depthwise::counter().get(),
     }
 }
 

@@ -54,16 +54,17 @@ run_gate "kernel differential (scalar forced)" \
     env HSCONAS_KERNEL=scalar cargo test -q -p hsconas --test kernel_differential
 
 # Band-parallel determinism: the differential + pack-cache suites, the
-# supernet masked-forward exactness test and the checkpoint resume suite
-# are bit-identity contracts, so they must hold with the band worker count
-# pinned to 1 and to 8.
+# supernet masked-forward exactness test, the checkpoint resume suite and
+# the depthwise kernel exactness tests are bit-identity contracts, so they
+# must hold with the band worker count pinned to 1 and to 8.
 for kt in 1 8; do
     run_gate "kernel suites (HSCONAS_KERNEL_THREADS=${kt})" \
         env HSCONAS_KERNEL_THREADS="${kt}" bash -c \
         "cargo test -q -p hsconas --test kernel_differential \
          && cargo test -q -p hsconas --test pack_cache \
          && cargo test -q -p hsconas-supernet masking_is_exact_through_packed_kernels \
-         && cargo test -q --release -p hsconas --test checkpoint_resume"
+         && cargo test -q --release -p hsconas --test checkpoint_resume \
+         && cargo test -q --release -p hsconas-tensor depthwise"
 done
 
 # Fault-injection suite: kills a checkpoint write at every named site and

@@ -43,7 +43,7 @@ fn happy_path_round_trips() {
         ["direct", "scalar", "avx2"].contains(&variant),
         "unknown kernel variant {variant:?}"
     );
-    for key in ["direct", "scalar", "avx2"] {
+    for key in ["direct", "scalar", "avx2", "depthwise"] {
         assert!(
             kernel
                 .get("dispatch")
