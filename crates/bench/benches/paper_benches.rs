@@ -7,7 +7,7 @@
 //! itself one of the paper's claims (hardware modeling is cheap, search is
 //! cheap once the supernet exists).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hsconas_bench::{ablation, fig2, fig3, fig4, fig5, fig6, table1};
 use hsconas_evo::EvolutionConfig;
 use hsconas_hwsim::{lower_arch, DeviceSpec};
@@ -157,60 +157,68 @@ fn bench_kernels(c: &mut Criterion) {
     let _ = Arch::widest(20);
 }
 
-/// GEMM throughput on conv-shaped problems, A/B'd across every kernel
-/// variant the host supports (direct, packed scalar, packed AVX2+FMA),
-/// reported both as criterion timings and as GFLOP/s (2·m·k·n FLOPs/call).
+/// GEMM throughput on conv-shaped problems, one group per shape, A/B'd
+/// across every kernel variant the host supports (direct, packed scalar,
+/// packed AVX2+FMA) under the auto band policy, and for the packed
+/// variants at explicit band counts 1/2/4/8 (`_b<bands>`). Each group
+/// declares 2·m·k·n elements per call, so its `Gelem/s` reads as GFLOP/s.
 fn bench_matmul_tiled(c: &mut Criterion) {
-    use hsconas_tensor::kernels::{gemm_with, Op, Variant};
-    use std::time::Instant;
-    let mut variants = vec![Variant::Direct, Variant::Scalar];
-    if Variant::Avx2.is_available() {
-        variants.push(Variant::Avx2);
-    }
+    use hsconas_tensor::kernels::{gemm_with_threads, selected_variant, Op, Variant};
+    let variants: Vec<Variant> = [Variant::Direct, Variant::Scalar, Variant::Avx2]
+        .into_iter()
+        .filter(|v| v.is_available())
+        .collect();
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    println!(
+        "matmul: selected variant {}, available_parallelism {host}; elements are FLOPs",
+        selected_variant().name()
+    );
     // (m, k, n): output-channel panel × im2col rows × output pixels — the
-    // shapes the supernet's 3x3 convolutions actually lower to.
-    for (m, k, n) in [(32, 144, 576), (128, 256, 128)] {
+    // shapes the supernet's convolutions lower to, plus one large enough
+    // for 8 row bands and several ms of arithmetic.
+    for (m, k, n) in [
+        (32, 144, 576),
+        (128, 256, 128),
+        (64, 1024, 256),
+        (256, 512, 512),
+    ] {
         let mut rng = hsconas_tensor::rng::SmallRng::new(5);
         let a: Vec<f32> = (0..m * k).map(|_| rng.next_f32() - 0.5).collect();
         let b_mat: Vec<f32> = (0..k * n).map(|_| rng.next_f32() - 0.5).collect();
         let mut out = vec![0.0f32; m * n];
+        let mut group = c.benchmark_group(&format!("matmul_{m}x{k}x{n}"));
+        group.throughput(Throughput::Elements(2 * (m * k * n) as u64));
         for &variant in &variants {
-            let name = variant.name();
-            c.bench_function(&format!("matmul_{name}_{m}x{k}x{n}"), |bch| {
-                bch.iter(|| {
-                    gemm_with(
-                        variant,
-                        Op::Ab,
-                        black_box(&a),
-                        black_box(&b_mat),
-                        black_box(&mut out),
-                        m,
-                        k,
-                        n,
-                        false,
-                    );
-                })
-            });
-            // A direct GFLOP/s figure for the PR record.
-            let reps = 200;
-            let start = Instant::now();
-            for _ in 0..reps {
-                gemm_with(
-                    variant,
-                    Op::Ab,
-                    black_box(&a),
-                    black_box(&b_mat),
-                    black_box(&mut out),
-                    m,
-                    k,
-                    n,
-                    false,
-                );
+            // Band count 0 is the auto policy `gemm` callers get; the
+            // direct loops never fork, so only the packed variants sweep.
+            let bands: &[usize] = match variant {
+                Variant::Direct => &[0],
+                _ => &[0, 1, 2, 4, 8],
+            };
+            for &threads in bands {
+                let name = match threads {
+                    0 => variant.name().to_string(),
+                    t => format!("{}_b{t}", variant.name()),
+                };
+                group.bench_function(&name, |bch| {
+                    bch.iter(|| {
+                        gemm_with_threads(
+                            variant,
+                            threads,
+                            Op::Ab,
+                            black_box(&a),
+                            black_box(&b_mat),
+                            black_box(&mut out),
+                            m,
+                            k,
+                            n,
+                            false,
+                        );
+                    })
+                });
             }
-            let secs = start.elapsed().as_secs_f64();
-            let gflops = (2.0 * (m * k * n * reps) as f64) / secs / 1e9;
-            println!("matmul_{name}_{m}x{k}x{n}: {gflops:.2} GFLOP/s");
         }
+        group.finish();
     }
 }
 
@@ -273,10 +281,9 @@ fn bench_conv2d_depthwise(c: &mut Criterion) {
 }
 
 /// One EA generation's worth of candidate evaluations, serial vs fanned
-/// out over the worker pool, reported in archs/sec.
+/// out over the worker pool; elements are archs.
 fn bench_ea_generation_parallel(c: &mut Criterion) {
     use hsconas_evo::{Evaluation, EvoError, Objective, ParallelObjective};
-    use std::time::Instant;
     let space = SearchSpace::hsconas_a();
     let device = DeviceSpec::edge_xavier();
     let score = {
@@ -298,31 +305,26 @@ fn bench_ea_generation_parallel(c: &mut Criterion) {
     };
     let mut rng = StdRng::seed_from_u64(13);
     let population = space.sample_n(50, &mut rng);
+    let mut group = c.benchmark_group("ea_generation_50archs");
+    group.throughput(Throughput::Elements(population.len() as u64));
     for (label, threads) in [("serial", 1usize), ("parallel_default", 0usize)] {
         let mut objective = ParallelObjective::new(score.clone(), threads);
-        c.bench_function(&format!("ea_generation_50archs_{label}"), |b| {
+        group.bench_function(label, |b| {
             b.iter(|| black_box(objective.evaluate_batch(&population).unwrap()))
         });
-        let reps = 20;
-        let start = Instant::now();
-        for _ in 0..reps {
-            black_box(objective.evaluate_batch(&population).unwrap());
-        }
-        let per_sec = (population.len() * reps) as f64 / start.elapsed().as_secs_f64();
-        println!("ea_generation_50archs_{label}: {per_sec:.0} archs/sec");
     }
+    group.finish();
 }
 
 /// Population accuracy-proxy evaluation against the real supernet with the
 /// prefix-activation cache off vs on — the memory-planning headline. The
 /// population is an EA-generation shape (an elite plus single-gene
 /// mutants), evaluated in lexicographic genome order as the evo scheduler
-/// would submit it. Also prints forwards/sec and the cache hit rate.
+/// would submit it; elements are archs.
 fn bench_population_eval_prefix_cache(c: &mut Criterion) {
     use hsconas_data::SyntheticDataset;
     use hsconas_supernet::{Supernet, SupernetTrainer, TrainConfig};
     use hsconas_tensor::rng::SmallRng;
-    use std::time::Instant;
 
     let space = SearchSpace::tiny(4);
     let data = SyntheticDataset::new(4, 32, 17);
@@ -352,6 +354,7 @@ fn bench_population_eval_prefix_cache(c: &mut Criterion) {
     let eval_batches = 2;
     let mut group = c.benchmark_group("population_eval");
     group.sample_size(10);
+    group.throughput(Throughput::Elements(population.len() as u64));
     for (label, cache) in [("cache_off", false), ("cache_on", true)] {
         trainer.set_prefix_cache_enabled(cache);
         group.bench_function(&format!("population_eval_{label}"), |b| {
@@ -363,32 +366,6 @@ fn bench_population_eval_prefix_cache(c: &mut Criterion) {
                 }
             })
         });
-        // Headline numbers for the PR record: archs/sec and forwards/sec
-        // (each evaluation runs 8 recalibration + `eval_batches` forwards).
-        trainer.clear_prefix_cache();
-        let reps = 10;
-        let start = Instant::now();
-        for _ in 0..reps {
-            trainer.clear_prefix_cache();
-            for arch in &population {
-                black_box(trainer.evaluate(arch, &data, eval_batches).unwrap());
-            }
-        }
-        let secs = start.elapsed().as_secs_f64();
-        let evals = (population.len() * reps) as f64;
-        let forwards = evals * (8 + eval_batches) as f64;
-        println!(
-            "population_eval_{label}: {:.1} archs/sec, {:.1} equivalent forwards/sec",
-            evals / secs,
-            forwards / secs
-        );
-        if let Some(stats) = trainer.prefix_cache_stats() {
-            println!(
-                "population_eval_{label}: hit rate {:.2}, layers skipped {}",
-                stats.hit_rate(),
-                stats.layers_skipped
-            );
-        }
     }
     group.finish();
 }

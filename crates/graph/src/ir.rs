@@ -166,8 +166,8 @@ pub enum GraphOp {
         keep: usize,
     },
     /// Zero-pads the channel axis up to `to` (identity if already there).
-    /// Inserted in front of grouped convolutions whose producer was
-    /// physically narrowed, because grouped convs cannot be input-pruned.
+    /// Inserted in front of depthwise convolutions whose producer was
+    /// physically narrowed, because depthwise convs cannot be input-pruned.
     PadChannels {
         /// Target physical width.
         to: usize,

@@ -15,10 +15,11 @@
 //!   mask pins to zero. Dense (`groups == 1`) convolutions are
 //!   input-pruned (masked input channels form an exactly-zero k-tail of
 //!   the im2col GEMM; dropping zero addends preserves every bit) and
-//!   row-pruned (GEMM rows are independent). Grouped convolutions are
-//!   never pruned — a narrowed producer gets an explicit `PadChannels`
-//!   restoring the zero channels, because their batch-norms map zero
-//!   channels to *nonzero* constant planes that downstream layers consume.
+//!   row-pruned (GEMM rows are independent). Depthwise convolutions (the
+//!   only other grouping `Conv2dParams` admits) are never pruned — a
+//!   narrowed producer gets an explicit `PadChannels` restoring the zero
+//!   channels, because their batch-norms map zero channels to *nonzero*
+//!   constant planes that downstream layers consume.
 //!   Every convolution keeps the `ref_gemm` recorded at lowering, so the
 //!   shrunken GEMMs still dispatch to the full-width kernel variant and
 //!   blocking and accumulate in the original order.
@@ -41,7 +42,7 @@ use crate::GraphError;
 pub struct PatchStats {
     /// Conv+BN(+ReLU) chains collapsed into fused nodes.
     pub fused: usize,
-    /// Structural specializations (pruned convs, padded grouped convs,
+    /// Structural specializations (pruned convs, padded depthwise convs,
     /// collapsed branches, interleave rewrites, narrowed skips).
     pub specialized: usize,
     /// Nodes replaced by compile-time constants (plus BN divisor
@@ -168,7 +169,7 @@ fn prune_conv_input(g: &mut Graph, id: usize, new_cin: usize) -> Result<(), Grap
     };
     if groups != 1 {
         return Err(spec_err(format!(
-            "input-pruning a grouped conv (groups {groups}) would drop live taps"
+            "input-pruning a depthwise conv (groups {groups}) would drop live taps"
         )));
     }
     if new_cin >= c_in {
@@ -207,7 +208,7 @@ fn prune_conv_rows(g: &mut Graph, id: usize, new_cout: usize) -> Result<(), Grap
     };
     if groups != 1 {
         return Err(spec_err(format!(
-            "row-pruning a grouped conv (groups {groups}) would misalign its groups"
+            "row-pruning a depthwise conv (groups {groups}) would misalign its groups"
         )));
     }
     if new_cout >= c_out {
@@ -247,8 +248,9 @@ fn prune_conv_rows(g: &mut Graph, id: usize, new_cout: usize) -> Result<(), Grap
 }
 
 /// Narrows or pads one branch entry conv to the physically available
-/// input width `avail`: dense convs are input-pruned, grouped convs get a
-/// `PadChannels` restoring the zeros their group structure needs.
+/// input width `avail`: dense convs are input-pruned; every other conv is
+/// depthwise (`Conv2dParams::validate` admits no other grouping) and gets
+/// a `PadChannels` restoring the zero channels it reads one-to-one.
 fn adapt_entry(g: &mut Graph, conv_id: usize, avail: usize) -> Result<usize, GraphError> {
     let (groups, c_in) = match &g.nodes[conv_id].op {
         GraphOp::Conv { params, .. } | GraphOp::FusedConvBn { params, .. } => {

@@ -206,3 +206,41 @@ fn specialization_shrinks_weights_and_gemms() {
     }
     assert!(shrunk > 0, "no conv GEMM operand physically shrank");
 }
+
+/// `.hsart` decoding reads conv `groups` from outside input, so a graph
+/// may carry a grouping no model builds; executing it must fail with a
+/// typed error, not a panic.
+#[test]
+fn grouped_conv_node_fails_execute_with_typed_error() {
+    use hsconas_graph::{Graph, GraphError, NodeShape, Outlet};
+    use hsconas_tensor::conv::Conv2dParams;
+    use hsconas_tensor::TensorError;
+    let params = Conv2dParams {
+        c_in: 4,
+        c_out: 4,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+        groups: 2,
+    };
+    let mut g = Graph::new(4, 6, 6);
+    let x = g.add(GraphOp::Input, vec![], NodeShape::new(4, 6, 6));
+    let weight = g.add_const(Tensor::zeros(params.weight_shape()));
+    g.output = g.add(
+        GraphOp::Conv {
+            params,
+            weight,
+            ref_gemm: None,
+        },
+        vec![Outlet::of(x)],
+        NodeShape::new(4, 6, 6),
+    );
+    let err = execute(&g, &Tensor::zeros([1, 4, 6, 6])).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            GraphError::Tensor(TensorError::InvalidDimension { op: "conv2d", .. })
+        ),
+        "{err}"
+    );
+}

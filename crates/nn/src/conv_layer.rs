@@ -21,9 +21,10 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics if the parameter combination is invalid (zero sizes or groups
-    /// not dividing channels); constructing a layer with invalid static
-    /// configuration is a programming error, not a runtime condition.
+    /// Panics if the parameter combination is invalid (zero sizes, or a
+    /// grouping that is neither dense nor depthwise); constructing a layer
+    /// with invalid static configuration is a programming error, not a
+    /// runtime condition.
     pub fn new(
         c_in: usize,
         c_out: usize,

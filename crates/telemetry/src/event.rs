@@ -160,9 +160,6 @@ pub struct Event {
     pub path: String,
     /// Wall-clock duration in microseconds (spans only).
     pub dur_us: Option<u64>,
-    /// Heap allocations observed during the span, when an allocation probe
-    /// is installed (spans only).
-    pub allocs: Option<u64>,
     /// Scalar payload (counter totals and gauge values).
     pub value: Option<FieldValue>,
     /// Ordered key/value context fields.
@@ -188,9 +185,6 @@ impl Event {
         if let Some(dur) = self.dur_us {
             obj.push(("dur_us".to_string(), Value::U64(dur)));
         }
-        if let Some(allocs) = self.allocs {
-            obj.push(("allocs".to_string(), Value::U64(allocs)));
-        }
         if let Some(value) = &self.value {
             obj.push(("value".to_string(), value.to_value()));
         }
@@ -212,7 +206,7 @@ impl Event {
 }
 
 const TOP_LEVEL_KEYS: &[&str] = &[
-    "v", "kind", "ts_us", "thread", "name", "path", "dur_us", "allocs", "value", "fields",
+    "v", "kind", "ts_us", "thread", "name", "path", "dur_us", "value", "fields",
 ];
 
 fn require_u64(value: &Value, key: &str) -> Result<u64, String> {
@@ -302,7 +296,6 @@ pub fn schema_validate(value: &Value) -> Result<Event, String> {
         name,
         path,
         dur_us,
-        allocs: optional_u64(value, "allocs")?,
         value: payload,
         fields,
     })
@@ -327,7 +320,6 @@ mod tests {
             name: "ea.generation".to_string(),
             path: "ea.search/ea.generation".to_string(),
             dur_us: Some(42),
-            allocs: Some(7),
             value: None,
             fields: vec![
                 ("gen".to_string(), FieldValue::U64(3)),

@@ -40,7 +40,7 @@ pub use registry::{
 pub use report::RunReport;
 #[cfg(feature = "enabled")]
 pub use sink::Sink;
-pub use sink::{active, flush_metrics, init_jsonl, mark, set_alloc_probe, FlushGuard, MemorySink};
+pub use sink::{active, flush_metrics, init_jsonl, mark, FlushGuard, MemorySink};
 pub use span::{current_scope, enter_scope, FieldVec, ScopeGuard, ScopeToken, Span};
 
 /// Enters a named span, returning an RAII guard that emits a `span` event

@@ -2,11 +2,10 @@
 //!
 //! Span events are rolled up hierarchically by their `/`-joined path, so the
 //! report shows e.g. `ea.search` with `ea.generation` indented beneath it
-//! and `supernet.evaluate` beneath that, each with call counts, total wall
-//! time and (when an allocation probe was installed) allocation counts.
-//! Dedicated sections decode the pipeline-specific spans: evals/sec per EA
-//! generation, per-shrink-stage quality stats, and cache hit rates derived
-//! from `*.hits` / `*.misses` counter pairs.
+//! and `supernet.evaluate` beneath that, each with call counts and total
+//! wall time. Dedicated sections decode the pipeline-specific spans:
+//! evals/sec per EA generation, per-shrink-stage quality stats, and cache
+//! hit rates derived from `*.hits` / `*.misses` counter pairs.
 
 use std::collections::HashMap;
 
@@ -21,8 +20,6 @@ pub struct SpanAgg {
     pub count: u64,
     /// Total wall time across them, microseconds.
     pub total_us: u64,
-    /// Total allocations across them, when probed.
-    pub allocs: Option<u64>,
 }
 
 /// One EA generation decoded from an `ea.generation` span.
@@ -107,16 +104,12 @@ impl RunReport {
                             path: event.path.clone(),
                             count: 0,
                             total_us: 0,
-                            allocs: None,
                         });
                         report.span_aggs.len() - 1
                     });
                     let agg = &mut report.span_aggs[idx];
                     agg.count += 1;
                     agg.total_us += dur;
-                    if let Some(allocs) = event.allocs {
-                        *agg.allocs.get_or_insert(0) += allocs;
-                    }
                     if event.name == "ea.generation" {
                         report.generations.push(GenerationRow {
                             gen: field(event, "gen").and_then(|v| v.as_u64()).unwrap_or(0),
@@ -230,8 +223,8 @@ impl RunReport {
         push(
             &mut out,
             &format!(
-                "{:<44} {:>7} {:>12} {:>12} {:>12}",
-                "span", "count", "total_ms", "mean_ms", "allocs"
+                "{:<44} {:>7} {:>12} {:>12}",
+                "span", "count", "total_ms", "mean_ms"
             ),
         );
         let ordered = self.tree_order();
@@ -242,19 +235,14 @@ impl RunReport {
                 "  ".repeat(depth),
                 agg.path.rsplit('/').next().unwrap_or(&agg.path)
             );
-            let allocs = agg
-                .allocs
-                .map(|a| a.to_string())
-                .unwrap_or_else(|| "-".to_string());
             push(
                 &mut out,
                 &format!(
-                    "{:<44} {:>7} {:>12.3} {:>12.3} {:>12}",
+                    "{:<44} {:>7} {:>12.3} {:>12.3}",
                     label,
                     agg.count,
                     agg.total_us as f64 / 1e3,
                     agg.total_us as f64 / 1e3 / agg.count.max(1) as f64,
-                    allocs
                 ),
             );
         }
@@ -415,7 +403,6 @@ mod tests {
             name: path.rsplit('/').next().unwrap().to_string(),
             path: path.to_string(),
             dur_us: Some(dur_us),
-            allocs: None,
             value: None,
             fields,
         }

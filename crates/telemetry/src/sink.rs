@@ -43,7 +43,6 @@ mod imp {
     static ACTIVE: AtomicBool = AtomicBool::new(false);
     static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(1);
     static NEXT_THREAD_INDEX: AtomicU64 = AtomicU64::new(0);
-    static ALLOC_PROBE: Mutex<Option<fn() -> u64>> = Mutex::new(None);
 
     fn epoch() -> Instant {
         static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -68,17 +67,6 @@ mod imp {
     #[inline]
     pub fn active() -> bool {
         ACTIVE.load(Ordering::Relaxed)
-    }
-
-    /// Installs an allocation probe (e.g. a counting `#[global_allocator]`
-    /// reader); spans then report the allocation delta across their scope.
-    pub fn set_alloc_probe(probe: fn() -> u64) {
-        *ALLOC_PROBE.lock() = Some(probe);
-    }
-
-    /// Reads the installed allocation probe, if any.
-    pub fn alloc_probe() -> Option<u64> {
-        (*ALLOC_PROBE.lock()).map(|probe| probe())
     }
 
     /// Delivers `event` to every installed sink.
@@ -123,7 +111,6 @@ mod imp {
                 name: key,
                 path: String::new(),
                 dur_us: None,
-                allocs: None,
                 value: Some(FieldValue::U64(total)),
                 fields: Vec::new(),
             });
@@ -136,7 +123,6 @@ mod imp {
                 name: key,
                 path: String::new(),
                 dur_us: None,
-                allocs: None,
                 value: Some(FieldValue::F64(value)),
                 fields: Vec::new(),
             });
@@ -155,7 +141,6 @@ mod imp {
                 name: key,
                 path: String::new(),
                 dur_us: None,
-                allocs: None,
                 value: None,
                 fields: vec![
                     ("count".to_string(), FieldValue::U64(hist.count)),
@@ -181,7 +166,6 @@ mod imp {
             name: name.to_string(),
             path: String::new(),
             dur_us: None,
-            allocs: None,
             value: None,
             fields,
         });
@@ -304,10 +288,6 @@ mod imp {
     #[inline(always)]
     pub fn mark(_name: &str, _fields: Vec<(String, FieldValue)>) {}
 
-    /// No-op.
-    #[inline(always)]
-    pub fn set_alloc_probe(_probe: fn() -> u64) {}
-
     /// Always false.
     #[inline(always)]
     pub fn active() -> bool {
@@ -343,6 +323,6 @@ mod imp {
 
 #[cfg(feature = "enabled")]
 pub use imp::Sink;
-pub use imp::{active, flush_metrics, init_jsonl, mark, set_alloc_probe, FlushGuard, MemorySink};
+pub use imp::{active, flush_metrics, init_jsonl, mark, FlushGuard, MemorySink};
 #[cfg(feature = "enabled")]
-pub(crate) use imp::{alloc_probe, emit, now_us, thread_index};
+pub(crate) use imp::{emit, now_us, thread_index};

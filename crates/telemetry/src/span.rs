@@ -58,7 +58,6 @@ mod imp {
         name: &'static str,
         path: String,
         start: Instant,
-        allocs_at: Option<u64>,
         fields: FieldVec,
     }
 
@@ -73,7 +72,6 @@ mod imp {
                 name,
                 path: current_path(),
                 start: Instant::now(),
-                allocs_at: sink::alloc_probe(),
                 fields: fields(),
             }))
         }
@@ -98,10 +96,6 @@ mod imp {
                 stack.borrow_mut().pop();
             });
             let dur_us = active.start.elapsed().as_micros() as u64;
-            let allocs = match (active.allocs_at, sink::alloc_probe()) {
-                (Some(at_enter), Some(at_exit)) => Some(at_exit.saturating_sub(at_enter)),
-                _ => None,
-            };
             sink::emit(Event {
                 kind: EventKind::Span,
                 ts_us: sink::now_us(),
@@ -109,7 +103,6 @@ mod imp {
                 name: active.name.to_string(),
                 path: active.path,
                 dur_us: Some(dur_us),
-                allocs,
                 value: None,
                 fields: active
                     .fields

@@ -1,19 +1,20 @@
-//! 2-D convolution forward and backward kernels (standard, grouped, and
-//! depthwise) built on [`crate::im2col`] and [`crate::matmul`].
+//! 2-D convolution forward and backward kernels (dense and depthwise)
+//! built on [`crate::im2col`] and [`crate::matmul`].
 //!
-//! Weights are stored as `[c_out, c_in / groups, k, k]` tensors. Depthwise
-//! convolution is the special case `groups == c_in == c_out`.
+//! Weights are stored as `[c_out, c_in / groups, k, k]` tensors. Only two
+//! groupings exist: dense (`groups == 1`) and depthwise
+//! (`groups == c_in == c_out`); any other grouping is rejected by
+//! [`Conv2dParams::validate`].
 //!
-//! Standard and grouped convolutions lower each group to three GEMM
-//! products (forward `W·col`, weight gradient `dOut·colᵀ`, input gradient
-//! `Wᵀ·dOut`) that dispatch through the packed SIMD kernel layer
-//! ([`crate::kernels`]); the forward product's weight operand carries the
-//! supernet's channel masks as zero rows, which the packing step detects
-//! per `MR`-row panel and skips outright, so a scaled-down candidate pays
-//! only for its live channels. The weight operands (forward and the
-//! `Wᵀ·dOut` input-gradient product) carry pack-cache tags, so their
-//! panels pack once per weight generation in the persistent cache instead
-//! of once per image.
+//! Dense convolutions lower to three GEMM products (forward `W·col`,
+//! weight gradient `dOut·colᵀ`, input gradient `Wᵀ·dOut`) that dispatch
+//! through the packed SIMD kernel layer ([`crate::kernels`]); the forward
+//! product's weight operand carries the supernet's channel masks as zero
+//! rows, which the packing step detects per `MR`-row panel and skips
+//! outright, so a scaled-down candidate pays only for its live channels.
+//! The weight operands (forward and the `Wᵀ·dOut` input-gradient product)
+//! carry pack-cache tags, so their panels pack once per weight generation
+//! in the persistent cache instead of once per image.
 //!
 //! Depthwise convolutions skip that lowering: per channel it would be a
 //! `1 × k²` GEMM, so they run on direct kernels instead
@@ -60,7 +61,7 @@ pub struct Conv2dParams {
     pub stride: usize,
     /// Zero padding on all sides.
     pub pad: usize,
-    /// Number of groups; must divide both `c_in` and `c_out`.
+    /// Number of groups: `1` (dense) or `c_in == c_out` (depthwise).
     pub groups: usize,
 }
 
@@ -70,7 +71,8 @@ impl Conv2dParams {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDimension`] when any parameter is zero
-    /// or `groups` does not divide the channel counts.
+    /// or the conv is neither dense (`groups == 1`) nor depthwise
+    /// (`groups == c_in == c_out`).
     pub fn validate(&self) -> Result<(), TensorError> {
         let bad = |detail: String| TensorError::InvalidDimension {
             op: "conv2d",
@@ -79,12 +81,9 @@ impl Conv2dParams {
         if self.c_in == 0 || self.c_out == 0 || self.kernel == 0 || self.stride == 0 {
             return Err(bad(format!("zero-sized parameter: {self:?}")));
         }
-        if self.groups == 0
-            || !self.c_in.is_multiple_of(self.groups)
-            || !self.c_out.is_multiple_of(self.groups)
-        {
+        if self.groups != 1 && !self.is_depthwise() {
             return Err(bad(format!(
-                "groups {} must divide c_in {} and c_out {}",
+                "groups {} must be 1 or equal c_in {} and c_out {}",
                 self.groups, self.c_in, self.c_out
             )));
         }
@@ -185,9 +184,7 @@ pub fn conv2d_forward_pinned(
     let geom = params.geom(ishape.h, ishape.w);
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let cols = oh * ow;
-    let cinpg = params.c_in / params.groups;
-    let coutpg = params.c_out / params.groups;
-    let krows = cinpg * params.kernel * params.kernel;
+    let krows = geom.channels * params.kernel * params.kernel;
 
     let mut out = Tensor::zeros([ishape.n, params.c_out, oh, ow]);
     let in_plane = ishape.h * ishape.w;
@@ -204,35 +201,33 @@ pub fn conv2d_forward_pinned(
         depthwise::Weights::gather(weight_data, krows, true)
     });
     let forward_one = |n: usize, out_image: &mut [f32]| {
+        let image = &input_data[n * in_stride..(n + 1) * in_stride];
         if let Some(w) = &dw {
-            let image = &input_data[n * in_stride..(n + 1) * in_stride];
             depthwise::forward_image(image, w, out_image, &geom);
             return;
         }
-        // out = W · col per group; the weight operand is tagged so its
-        // packed panels come from the persistent cache.
-        let group_product = |g: usize, col: &[f32], out_image: &mut [f32]| {
-            let w_off = g * coutpg * krows;
-            let o_off = g * coutpg * out_plane;
-            let tags = GemmTags::a_tag(weight.pack_tag_at(w_off));
+        // out = W · col; the weight operand is tagged so its packed panels
+        // come from the persistent cache.
+        let product = |col: &[f32], out_image: &mut [f32]| {
+            let tags = GemmTags::a_tag(weight.pack_tag());
             match ref_gemm {
                 Some(r) => crate::kernels::gemm_pinned(
                     r,
                     crate::kernels::Op::Ab,
-                    &weight_data[w_off..w_off + coutpg * krows],
+                    weight_data,
                     col,
-                    &mut out_image[o_off..o_off + coutpg * out_plane],
-                    coutpg,
+                    out_image,
+                    params.c_out,
                     krows,
                     cols,
                     true,
                     tags,
                 ),
                 None => matmul_accumulate_tagged(
-                    &weight_data[w_off..w_off + coutpg * krows],
+                    weight_data,
                     col,
-                    &mut out_image[o_off..o_off + coutpg * out_plane],
-                    coutpg,
+                    out_image,
+                    params.c_out,
                     krows,
                     cols,
                     tags,
@@ -241,17 +236,11 @@ pub fn conv2d_forward_pinned(
         };
         if pointwise {
             // col ≡ the input plane matrix: multiply in place, no staging.
-            for g in 0..params.groups {
-                let in_off = n * in_stride + g * cinpg * in_plane;
-                group_product(g, &input_data[in_off..in_off + cinpg * in_plane], out_image);
-            }
+            product(image, out_image);
         } else {
             with_scratch(krows * cols, |col| {
-                for g in 0..params.groups {
-                    let in_off = n * in_stride + g * cinpg * in_plane;
-                    im2col(&input_data[in_off..in_off + cinpg * in_plane], &geom, col);
-                    group_product(g, col, out_image);
-                }
+                im2col(image, &geom, col);
+                product(col, out_image);
             });
         }
     };
@@ -325,9 +314,7 @@ pub fn conv2d_backward(
         });
     }
     let cols = oh * ow;
-    let cinpg = params.c_in / params.groups;
-    let coutpg = params.c_out / params.groups;
-    let krows = cinpg * params.kernel * params.kernel;
+    let krows = geom.channels * params.kernel * params.kernel;
     let in_plane = ishape.h * ishape.w;
     let out_plane = oh * ow;
 
@@ -352,84 +339,41 @@ pub fn conv2d_backward(
     let backward_one = |n: usize, gin_image: &mut [f32]| -> Vec<f32> {
         let mut gw = crate::arena::take_buffer(w_len);
         gw.resize(w_len, 0.0);
+        let image = &input_data[n * in_stride..(n + 1) * in_stride];
+        let dout = &grad_out_data[n * out_stride..(n + 1) * out_stride];
         if let Some(w) = &dw {
-            let image = &input_data[n * in_stride..(n + 1) * in_stride];
-            let dout = &grad_out_data[n * out_stride..(n + 1) * out_stride];
             depthwise::backward_image(image, dout, w, gin_image, &mut gw, &geom);
             return gw;
         }
+        let tags = GemmTags::a_tag(weight.pack_tag());
         if pointwise {
             // col ≡ the input plane matrix and col2im is the identity
             // accumulation, so both products run in place: dW reads the
             // input directly and dIn is written straight into its zeroed
             // slice (bit-identical to staging through dcol).
-            for g in 0..params.groups {
-                let in_off = n * in_stride + g * cinpg * in_plane;
-                let gin_off = g * cinpg * in_plane;
-                let w_off = g * coutpg * krows;
-                let o_off = n * out_stride + g * coutpg * out_plane;
-                let dout = &grad_out_data[o_off..o_off + coutpg * out_plane];
-
-                // dW += dOut (coutpg × cols) · inᵀ (cols × krows)
-                matmul_a_bt(
-                    dout,
-                    &input_data[in_off..in_off + cinpg * in_plane],
-                    &mut gw[w_off..w_off + coutpg * krows],
-                    coutpg,
-                    cols,
-                    krows,
-                );
-
-                // dIn += Wᵀ (krows × coutpg) · dOut (coutpg × cols)
-                matmul_at_b_tagged(
-                    &weight_data[w_off..w_off + coutpg * krows],
-                    dout,
-                    &mut gin_image[gin_off..gin_off + cinpg * in_plane],
-                    coutpg,
-                    krows,
-                    cols,
-                    GemmTags::a_tag(weight.pack_tag_at(w_off)),
-                );
-            }
+            // dW += dOut (c_out × cols) · inᵀ (cols × krows)
+            matmul_a_bt(dout, image, &mut gw, params.c_out, cols, krows);
+            // dIn += Wᵀ (krows × c_out) · dOut (c_out × cols)
+            matmul_at_b_tagged(
+                weight_data,
+                dout,
+                gin_image,
+                params.c_out,
+                krows,
+                cols,
+                tags,
+            );
             return gw;
         }
         with_scratch(krows * cols, |col| {
             with_scratch(krows * cols, |dcol| {
-                for g in 0..params.groups {
-                    let in_off = n * in_stride + g * cinpg * in_plane;
-                    let gin_off = g * cinpg * in_plane;
-                    let w_off = g * coutpg * krows;
-                    let o_off = n * out_stride + g * coutpg * out_plane;
-                    let dout = &grad_out_data[o_off..o_off + coutpg * out_plane];
-
-                    // dW += dOut (coutpg × cols) · colᵀ (cols × krows)
-                    im2col(&input_data[in_off..in_off + cinpg * in_plane], &geom, col);
-                    matmul_a_bt(
-                        dout,
-                        col,
-                        &mut gw[w_off..w_off + coutpg * krows],
-                        coutpg,
-                        cols,
-                        krows,
-                    );
-
-                    // dCol = Wᵀ (krows × coutpg) · dOut (coutpg × cols)
-                    dcol.fill(0.0);
-                    matmul_at_b_tagged(
-                        &weight_data[w_off..w_off + coutpg * krows],
-                        dout,
-                        dcol,
-                        coutpg,
-                        krows,
-                        cols,
-                        GemmTags::a_tag(weight.pack_tag_at(w_off)),
-                    );
-                    col2im(
-                        dcol,
-                        &geom,
-                        &mut gin_image[gin_off..gin_off + cinpg * in_plane],
-                    );
-                }
+                // dW += dOut (c_out × cols) · colᵀ (cols × krows)
+                im2col(image, &geom, col);
+                matmul_a_bt(dout, col, &mut gw, params.c_out, cols, krows);
+                // dCol = Wᵀ (krows × c_out) · dOut (c_out × cols)
+                dcol.fill(0.0);
+                matmul_at_b_tagged(weight_data, dout, dcol, params.c_out, krows, cols, tags);
+                col2im(dcol, &geom, gin_image);
             });
         });
         gw
@@ -523,23 +467,6 @@ mod tests {
             groups: 1,
         };
         let x = Tensor::randn([2, 4, 7, 5], 1.0, &mut rng);
-        let w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
-        let got = conv2d_forward(&x, &w, &p).unwrap();
-        assert_close(&got, &naive_conv(&x, &w, &p), 1e-3);
-    }
-
-    #[test]
-    fn forward_matches_naive_strided_grouped() {
-        let mut rng = SmallRng::new(2);
-        let p = Conv2dParams {
-            c_in: 6,
-            c_out: 4,
-            kernel: 5,
-            stride: 2,
-            pad: 2,
-            groups: 2,
-        };
-        let x = Tensor::randn([1, 6, 9, 8], 1.0, &mut rng);
         let w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
         let got = conv2d_forward(&x, &w, &p).unwrap();
         assert_close(&got, &naive_conv(&x, &w, &p), 1e-3);
@@ -678,6 +605,22 @@ mod tests {
             groups: 2,
         };
         assert!(p.validate().is_err());
+        // Grouped but neither dense nor depthwise: no route runs it.
+        let grouped = Conv2dParams {
+            c_in: 4,
+            c_out: 4,
+            groups: 2,
+            ..p
+        };
+        assert!(matches!(
+            grouped.validate(),
+            Err(TensorError::InvalidDimension { op: "conv2d", .. })
+        ));
+        let x = Tensor::zeros([1, 4, 4, 4]);
+        let w = Tensor::zeros(grouped.weight_shape());
+        assert!(conv2d_forward(&x, &w, &grouped).is_err());
+        let dy = Tensor::zeros([1, 4, 4, 4]);
+        assert!(conv2d_backward(&x, &w, &dy, &grouped).is_err());
         let p2 = Conv2dParams {
             c_in: 0,
             c_out: 4,
@@ -759,7 +702,7 @@ mod tests {
             kernel: 1,
             stride: 1,
             pad: 0,
-            groups: 2,
+            groups: 1,
         };
         let x = Tensor::randn([2, 6, 7, 5], 1.0, &mut rng);
         let w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);

@@ -75,8 +75,7 @@ pub struct PackTag {
     pub id: u64,
     /// Mutation generation at the time the tag was taken.
     pub version: u64,
-    /// Element offset of the operand slice within the tensor's buffer
-    /// (grouped convolutions slice their weight per group).
+    /// Element offset of the operand slice within the tensor's buffer.
     pub offset: usize,
     /// Channel-mask signature. Weights are currently never masked (the
     /// supernet masks activations), so this is `0` today; it is part of

@@ -2,8 +2,8 @@
 //!
 //! A small, dependency-light NCHW tensor library with the forward and
 //! backward kernels needed to train the HSCoNAS supernet from scratch:
-//! dense matrix multiplication, im2col-based 2-D convolution (standard,
-//! grouped, and depthwise), pooling, and the elementwise primitives used by
+//! dense matrix multiplication, 2-D convolution (im2col-based dense and
+//! direct depthwise), pooling, and the elementwise primitives used by
 //! ShuffleNetV2-style blocks (channel shuffle / split / concat).
 //!
 //! The crate is deliberately minimal: it implements exactly the operator set

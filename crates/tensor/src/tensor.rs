@@ -167,8 +167,7 @@ impl Tensor {
     }
 
     /// [`Tensor::pack_tag`] for a GEMM operand that is a sub-slice of the
-    /// buffer starting at element `offset` (grouped convolutions slice
-    /// their weight per group).
+    /// buffer starting at element `offset`.
     pub fn pack_tag_at(&self, offset: usize) -> PackTag {
         PackTag {
             id: self.id,

@@ -10,18 +10,19 @@ use proptest::prelude::*;
 
 fn conv_params() -> impl Strategy<Value = (Conv2dParams, usize)> {
     (
-        1usize..4,                                // channels per group
-        1usize..3,                                // groups
-        1usize..4,                                // out channels per group
+        1usize..6,                                // input channels
+        1usize..6,                                // dense output channels
+        prop::bool::ANY,                          // depthwise (c_out = groups = c_in)
         prop::sample::select(vec![1usize, 3, 5]), // kernel
         1usize..3,                                // stride
         5usize..9,                                // spatial size
     )
-        .prop_map(|(cpg, groups, opg, kernel, stride, hw)| {
+        .prop_map(|(c_in, c_out, depthwise, kernel, stride, hw)| {
+            let (c_out, groups) = if depthwise { (c_in, c_in) } else { (c_out, 1) };
             (
                 Conv2dParams {
-                    c_in: cpg * groups,
-                    c_out: opg * groups,
+                    c_in,
+                    c_out,
                     kernel,
                     stride,
                     pad: kernel / 2,

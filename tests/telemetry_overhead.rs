@@ -1,7 +1,9 @@
-//! Release-mode gate on the cost of *enabled* telemetry: evaluating an
-//! EA-generation-shaped population against a trained tiny supernet (the
-//! `bench_snapshot` `population_eval` workload) must regress by less than
-//! 2% when a telemetry sink is installed.
+//! Release-mode gate on the cost of *enabled* telemetry: one pass of
+//! proxy evaluation (two eval batches each, prefix cache on) over an
+//! EA-generation-shaped population — the widest 4-layer genome plus 12
+//! single-gene mutants, deduplicated and sorted by encoding — against a
+//! tiny supernet trained for 10 steps must regress by less than 2% when a
+//! telemetry sink is installed.
 //!
 //! The two variants are timed interleaved (off/on per round, min-of-N) so
 //! thermal and scheduler drift cancel. The assertion only fires in release
