@@ -6,24 +6,33 @@
 //! folding patch shares — a folded value is *by construction* the value
 //! execution would have produced.
 //!
+//! A batch of two or more images is split into contiguous image shards,
+//! one per `hsconas-par` thread, and each shard walks the whole graph on
+//! its own thread into its slice of a caller-allocated output. A shard
+//! stages its input, and drops every activation, on the thread that runs
+//! it: a tensor dropped on another thread would join that thread's arena
+//! pool instead of its own.
+//!
 //! Exactness: every op here reproduces the corresponding live-layer
 //! arithmetic elementwise (convolutions through
 //! [`conv2d_forward_pinned`] with the lowering-recorded reference GEMM
 //! shape, the linear head through the same tagged `x·Wᵀ` product as
 //! `hsconas_nn::Linear`, batch-norm as literally `g * (x - mean) / std + b`
 //! per channel), so an optimized graph's logits match the masked supernet
-//! forward bit for bit.
+//! forward bit for bit. Every op but the head is per image; the head's
+//! product is pinned to the whole-batch shape, so a shard's rows take the
+//! kernel the unsharded batch would.
 
-use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use hsconas_supernet::masked::{adapt_channels, mask_channels};
 use hsconas_tensor::conv::conv2d_forward_pinned;
-use hsconas_tensor::kernels::GemmTags;
-use hsconas_tensor::matmul::matmul_a_bt_tagged;
+use hsconas_tensor::kernels::{gemm_pinned, GemmTags, Op};
 use hsconas_tensor::pool::{avg_pool, global_avg_pool};
-use hsconas_tensor::Tensor;
+use hsconas_tensor::{arena, Tensor};
 
-use crate::ir::{BnParams, BnScale, Graph, GraphOp};
+use crate::ir::{BnParams, BnScale, Graph, GraphOp, NodeShape, Outlet};
 use crate::GraphError;
 
 fn exec_err(detail: String) -> GraphError {
@@ -66,8 +75,7 @@ fn copy_planes(dst: &mut Tensor, dst_c: usize, src: &Tensor, src_c: usize) {
     for n in 0..ds.n {
         let from = (n * ss.c + src_c) * plane;
         let to = (n * ds.c + dst_c) * plane;
-        let row: Vec<f32> = src.data()[from..from + plane].to_vec();
-        dst.data_mut()[to..to + plane].copy_from_slice(&row);
+        dst.data_mut()[to..to + plane].copy_from_slice(&src.data()[from..from + plane]);
     }
 }
 
@@ -81,6 +89,18 @@ pub fn eval_node(
     op: &GraphOp,
     inputs: &[&Tensor],
     consts: &[Tensor],
+) -> Result<Tensor, GraphError> {
+    let batch = inputs.first().map_or(1, |x| x.shape().n);
+    eval(op, inputs, consts, batch)
+}
+
+/// [`eval_node`] with the `Linear` product's kernel selection pinned to a
+/// `batch`-row product, whatever the rows of this call.
+fn eval(
+    op: &GraphOp,
+    inputs: &[&Tensor],
+    consts: &[Tensor],
+    batch: usize,
 ) -> Result<Tensor, GraphError> {
     let sole = || -> Result<&Tensor, GraphError> {
         inputs
@@ -192,13 +212,16 @@ pub fn eval_node(
                 )));
             }
             let mut out = Tensor::zeros([s.n, out_features, 1, 1]);
-            matmul_a_bt_tagged(
+            gemm_pinned(
+                (batch, in_features, out_features),
+                Op::ABt,
                 x.data(),
                 weight.data(),
                 out.data_mut(),
                 s.n,
                 in_features,
                 out_features,
+                true,
                 GemmTags::b_tag(weight.pack_tag()),
             );
             for n in 0..s.n {
@@ -265,12 +288,133 @@ fn run(graph: &Graph, input: &Tensor, capture: bool) -> Result<TracedRun, GraphE
         )));
     }
     let order = graph.topo_order();
+    let shards = if hsconas_par::in_worker() {
+        1
+    } else {
+        hsconas_par::default_threads().min(s.n)
+    };
+    if shards <= 1 {
+        return walk(graph, &order, input, 0..s.n, capture);
+    }
+
+    // The caller owns every result tensor; each shard fills its images'
+    // slice of them.
+    let batch_tensor = |node: usize| {
+        let shape = graph.nodes[node].shape;
+        Tensor::zeros([s.n, shape.c, shape.h, shape.w])
+    };
+    let mut output = batch_tensor(graph.output);
+    let mut checkpoints: Vec<(String, Tensor)> = if capture {
+        graph
+            .checkpoints
+            .iter()
+            .map(|cp| (cp.label.clone(), batch_tensor(cp.node)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut checkpoint_slices: Vec<_> = checkpoints
+        .iter_mut()
+        .map(|(_, t)| shard_slices(t.data_mut(), s.n, shards))
+        .collect();
+    let items: Vec<Shard<'_>> = shard_slices(output.data_mut(), s.n, shards)
+        .enumerate()
+        .map(|(i, output)| Shard {
+            images: shard_images(i, s.n, shards),
+            output,
+            checkpoints: checkpoint_slices
+                .iter_mut()
+                .map(|slices| slices.next().expect("one slice per shard"))
+                .collect(),
+        })
+        .collect();
+    drop(checkpoint_slices);
+
+    // The lowest-numbered shard's error wins, as in a serial walk.
+    let failure: Mutex<Option<(usize, GraphError)>> = Mutex::new(None);
+    hsconas_par::par_for_each(items, shards, |i, shard| {
+        let result = walk(graph, &order, input, shard.images, capture).and_then(|run| {
+            fill(shard.output, &run.output, graph.nodes[graph.output].shape)?;
+            let captured = shard.checkpoints.into_iter().zip(&run.checkpoints);
+            for ((dst, (_, src)), cp) in captured.zip(&graph.checkpoints) {
+                fill(dst, src, graph.nodes[cp.node].shape)?;
+            }
+            Ok(())
+        });
+        if let Err(e) = result {
+            let mut first = failure.lock().unwrap_or_else(PoisonError::into_inner);
+            if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                *first = Some((i, e));
+            }
+        }
+    });
+    match failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        Some((_, e)) => Err(e),
+        None => Ok(TracedRun {
+            output,
+            checkpoints,
+        }),
+    }
+}
+
+/// One batch shard: its images, and its slices of the caller's output and
+/// checkpoint tensors.
+struct Shard<'a> {
+    images: Range<usize>,
+    output: &'a mut [f32],
+    checkpoints: Vec<&'a mut [f32]>,
+}
+
+/// Images of shard `i` of `shards` over a batch of `n`: contiguous, with
+/// sizes differing by at most one.
+fn shard_images(i: usize, n: usize, shards: usize) -> Range<usize> {
+    i * n / shards..(i + 1) * n / shards
+}
+
+/// Splits a batch-of-`n` tensor's `data` into its `shards` shard slices.
+fn shard_slices(data: &mut [f32], n: usize, shards: usize) -> impl Iterator<Item = &mut [f32]> {
+    let image = data.len() / n;
+    let mut rest = data;
+    (0..shards).map(move |i| {
+        let (head, tail) =
+            std::mem::take(&mut rest).split_at_mut(shard_images(i, n, shards).len() * image);
+        rest = tail;
+        head
+    })
+}
+
+/// Copies a shard's result into its slice of the caller's tensor, which
+/// was sized from the node's recorded `shape`.
+fn fill(dst: &mut [f32], src: &Tensor, shape: NodeShape) -> Result<(), GraphError> {
+    let s = src.shape();
+    if (s.c, s.h, s.w) != (shape.c, shape.h, shape.w) || dst.len() != src.len() {
+        return Err(exec_err(format!(
+            "node produced [{}, {}, {}] where its shape records [{}, {}, {}]",
+            s.c, s.h, s.w, shape.c, shape.h, shape.w
+        )));
+    }
+    dst.copy_from_slice(src.data());
+    Ok(())
+}
+
+/// Walks the whole graph over images `images` of `input`, on the calling
+/// thread: the input is staged from the calling thread's arena, and every
+/// activation is dropped here.
+fn walk(
+    graph: &Graph,
+    order: &[usize],
+    input: &Tensor,
+    images: Range<usize>,
+    capture: bool,
+) -> Result<TracedRun, GraphError> {
+    let batch = input.shape().n;
+    let n = images.len();
 
     // Consumer refcounts so activations free at their last use; the output
     // and (when capturing) every checkpoint get an extra count to survive
     // the walk.
     let mut refs = vec![0usize; graph.nodes.len()];
-    for &id in &order {
+    for &id in order {
         for outlet in &graph.nodes[id].inputs {
             refs[outlet.node] += 1;
         }
@@ -283,19 +427,22 @@ fn run(graph: &Graph, input: &Tensor, capture: bool) -> Result<TracedRun, GraphE
     }
 
     let mut acts: Vec<Option<Tensor>> = (0..graph.nodes.len()).map(|_| None).collect();
-    for &id in &order {
+    for &id in order {
         let node = &graph.nodes[id];
         let _node_span = hsconas_telemetry::span!("graph.node", op = node.op.name());
         let out = match &node.op {
-            GraphOp::Input => input.clone(),
-            GraphOp::Const { value } => broadcast(&graph.consts[*value], s.n),
+            GraphOp::Input => stage(input, images.clone()),
+            GraphOp::Const { value } => broadcast(&graph.consts[*value], n),
             op => {
-                let ins: Vec<&Tensor> = node
-                    .inputs
-                    .iter()
-                    .map(|o| acts[o.node].as_ref().expect("inputs precede consumers"))
-                    .collect();
-                eval_node(op, &ins, &graph.consts)?
+                let get = |o: &Outlet| acts[o.node].as_ref().expect("inputs precede consumers");
+                match node.inputs.as_slice() {
+                    [a] => eval(op, &[get(a)], &graph.consts, batch)?,
+                    [a, b] => eval(op, &[get(a), get(b)], &graph.consts, batch)?,
+                    many => {
+                        let ins: Vec<&Tensor> = many.iter().map(get).collect();
+                        eval(op, &ins, &graph.consts, batch)?
+                    }
+                }
             }
         };
         for outlet in &node.inputs {
@@ -307,21 +454,17 @@ fn run(graph: &Graph, input: &Tensor, capture: bool) -> Result<TracedRun, GraphE
         acts[id] = Some(out);
     }
 
-    let mut by_node: HashMap<usize, Tensor> = HashMap::new();
     let checkpoints = if capture {
-        for cp in &graph.checkpoints {
-            if let std::collections::hash_map::Entry::Vacant(slot) = by_node.entry(cp.node) {
-                let t = acts[cp.node]
-                    .clone()
-                    .ok_or_else(|| exec_err(format!("checkpoint node {} was freed", cp.node)))?;
-                slot.insert(t);
-            }
-        }
         graph
             .checkpoints
             .iter()
-            .map(|cp| (cp.label.clone(), by_node[&cp.node].clone()))
-            .collect()
+            .map(|cp| {
+                let t = acts[cp.node]
+                    .clone()
+                    .ok_or_else(|| exec_err(format!("checkpoint node {} was freed", cp.node)))?;
+                Ok((cp.label.clone(), t))
+            })
+            .collect::<Result<_, GraphError>>()?
     } else {
         Vec::new()
     };
@@ -332,4 +475,13 @@ fn run(graph: &Graph, input: &Tensor, capture: bool) -> Result<TracedRun, GraphE
         output,
         checkpoints,
     })
+}
+
+/// Images `images` of `input`, copied into the calling thread's arena.
+fn stage(input: &Tensor, images: Range<usize>) -> Tensor {
+    let s = input.shape();
+    let image = s.c * s.h * s.w;
+    let mut data = arena::take_buffer(images.len() * image);
+    data.extend_from_slice(&input.data()[images.start * image..images.end * image]);
+    Tensor::from_vec([images.len(), s.c, s.h, s.w], data).expect("staged length matches its shape")
 }

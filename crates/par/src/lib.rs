@@ -1,63 +1,67 @@
-//! Shared scoped worker-pool utilities for the NAS hot paths.
+//! The shared worker pool for the NAS hot paths.
 //!
 //! Every parallel site in the workspace (EA population evaluation,
 //! subspace-quality sampling, latency-LUT calibration sweeps, convolution
-//! batch loops) follows the same discipline:
+//! batch loops, GEMM row bands, compiled-graph batch shards) follows the
+//! same discipline:
 //!
 //! 1. work items are **generated serially** (so seeded RNG streams are
 //!    untouched by the thread count),
-//! 2. items are dispatched to scoped workers via an atomic index,
+//! 2. items are claimed by the participants of one dispatch through a
+//!    shared counter,
 //! 3. results are **merged in item-index order**.
 //!
 //! Per-item work must be a pure function of the item itself; under that
 //! contract every output is bit-identical to the serial loop regardless of
-//! `--threads`. This module generalizes what used to be a private harness
-//! in `hwsim::parallel` so every crate shares one implementation.
+//! `--threads`.
+//!
+//! The participants are the calling thread plus helpers from one
+//! process-wide pool of long-lived workers (`pool`). The pool grows
+//! lazily to the largest thread count ever requested and never shrinks,
+//! so a dispatch costs a queue push and a wake-up, not a thread spawn,
+//! and each worker's thread-local state (its activation arena) stays warm
+//! from one dispatch to the next. The caller always works on its own
+//! dispatch, so a dispatch completes even when every worker is busy with
+//! another caller's. A dispatch made from inside a dispatch, on a worker
+//! or on the caller during its own share, runs inline ([`in_worker`]). A
+//! panic in any participant is caught, and re-raised on the caller once
+//! every helper has finished; the worker that caught it lives on.
 //!
 //! The process-wide default thread count is configurable (the experiment
 //! binaries' `--threads N` flag lands in [`set_default_threads`]); `0` or
 //! an unset default resolves to [`available_threads`].
 //!
-//! Workers adopt the dispatching thread's `hsconas-telemetry` span scope,
+//! Helpers adopt the dispatching thread's `hsconas-telemetry` span scope,
 //! so spans entered inside pool work roll up under the caller's span path
 //! in run reports. This is observation-only: it touches no RNG, no work
 //! ordering, and no results.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod pool;
 pub mod queue;
 
 pub use queue::{BoundedQueue, PushError};
 
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide default worker count; 0 means "auto" (use
 /// [`available_threads`]).
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-thread_local! {
-    /// Set on threads spawned by this module's worker pools; never reset
-    /// (pool threads are scoped and die with the dispatching call).
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when the calling thread is a worker spawned by one of this
-/// module's pools. Nested parallel sites (e.g. the intra-GEMM band
-/// fan-out inside a batch-parallel convolution) consult this to stay
-/// serial instead of oversubscribing the machine with pools-inside-pools.
+/// True on a pool worker, and on a dispatching thread while it runs its
+/// own share of a dispatch. Nested parallel sites (the GEMM row bands
+/// inside a batch-parallel convolution, the convolutions inside a graph
+/// batch shard) consult this to stay serial; the `par_*` functions
+/// themselves run inline when it is set.
 ///
 /// Inline execution (`threads == 1`, or a single work item) runs on the
 /// dispatching thread and does *not* set the flag: a serial outer loop
 /// leaves inner sites free to go wide.
 pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
-fn mark_worker() {
-    IN_WORKER.with(|w| w.set(true));
+    pool::in_worker()
 }
 
 /// Number of hardware threads reported by the OS (at least 1).
@@ -83,8 +87,11 @@ pub fn default_threads() -> usize {
 }
 
 /// Resolves a per-call `threads` request (`0` = default) against the
-/// amount of work available.
+/// amount of work available; `1` (inline) inside a dispatch.
 fn resolve_threads(threads: usize, work_items: usize) -> usize {
+    if in_worker() {
+        return 1;
+    }
     let requested = if threads == 0 {
         default_threads()
     } else {
@@ -93,13 +100,49 @@ fn resolve_threads(threads: usize, work_items: usize) -> usize {
     requested.max(1).min(work_items.max(1))
 }
 
-/// Maps `f` over `items` on a scoped worker pool and returns the results
-/// in item order.
+/// Applies `run` to every item `next` hands out, on the calling thread
+/// and `threads - 1` pool workers.
+fn fan_out<I>(
+    threads: usize,
+    next: impl Fn() -> Option<(usize, I)> + Sync,
+    run: impl Fn(usize, I) + Sync,
+) {
+    pool::fork(threads - 1, &|| {
+        while let Some((i, item)) = next() {
+            run(i, item);
+        }
+    });
+}
+
+/// Result slots written by item index from any participant, read back in
+/// index order.
+struct Ordered<R>(Mutex<Vec<Option<R>>>);
+
+impl<R> Ordered<R> {
+    fn new(n: usize) -> Self {
+        Ordered(Mutex::new((0..n).map(|_| None).collect()))
+    }
+
+    fn put(&self, i: usize, r: R) {
+        self.0.lock()[i] = Some(r);
+    }
+
+    fn into_vec(self) -> Vec<R> {
+        self.0
+            .into_inner()
+            .into_iter()
+            .map(|r| r.expect("every index visited"))
+            .collect()
+    }
+}
+
+/// Maps `f` over `items` on the worker pool and returns the results in
+/// item order.
 ///
 /// `f` receives `(index, &item)`. With `threads == 0` the process default
-/// applies; `threads == 1` (or a single item) runs inline with no pool.
-/// Results are merged in index order, so for a deterministic `f` the
-/// output is identical across thread counts.
+/// applies; `threads == 1` (or a single item, or a call from inside a
+/// dispatch) runs inline. Results are merged in index order, so for a
+/// deterministic `f` the output is identical across thread counts.
 ///
 /// # Panics
 ///
@@ -114,34 +157,17 @@ where
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    // Workers adopt the dispatching thread's telemetry span scope so their
-    // spans roll up under the caller (observation-only; no effect on work
-    // order or results).
-    let scope_token = hsconas_telemetry::current_scope();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                mark_worker();
-                let _telemetry_scope = hsconas_telemetry::enter_scope(&scope_token);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(i, &items[i]);
-                    results.lock()[i] = Some(r);
-                }
-            });
-        }
-    })
-    .expect("worker pool panicked");
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every index visited"))
-        .collect()
+    let results = Ordered::new(items.len());
+    fan_out(
+        threads,
+        || {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            items.get(i).map(|t| (i, t))
+        },
+        |i, t| results.put(i, f(i, t)),
+    );
+    results.into_vec()
 }
 
 /// Index-space variant of [`par_map`]: runs `f(0..n)` on the pool and
@@ -182,37 +208,15 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
-    let n = items.len();
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let scope_token = hsconas_telemetry::current_scope();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                mark_worker();
-                let _telemetry_scope = hsconas_telemetry::enter_scope(&scope_token);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    let item = slots[i].lock().take().expect("slot taken once");
-                    let r = f(i, item);
-                    results.lock()[i] = Some(r);
-                }
-            });
-        }
-    })
-    .expect("worker pool panicked");
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every index visited"))
-        .collect()
+    let results = Ordered::new(items.len());
+    par_for_each(items, threads, |i, t| results.put(i, f(i, t)));
+    results.into_vec()
 }
 
 /// [`par_map_owned`] without results — applies `f` to each owned item.
+/// Beyond the caller's `items`, a dispatch allocates nothing once the
+/// pool has grown to `threads`, unless a telemetry sink is installed (the
+/// helpers then copy the caller's span path).
 ///
 /// # Panics
 ///
@@ -222,7 +226,15 @@ where
     T: Send,
     F: Fn(usize, T) + Sync,
 {
-    par_map_owned(items, threads, f);
+    let threads = resolve_threads(threads, items.len());
+    if threads <= 1 {
+        for (i, t) in items.into_iter().enumerate() {
+            f(i, t);
+        }
+        return;
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    fan_out(threads, || queue.lock().next(), f);
 }
 
 #[cfg(test)]

@@ -66,8 +66,7 @@ pub fn adapt_channels(t: &Tensor, c_out: usize) -> Tensor {
         for c in 0..copy {
             let src = (n * s.c + c) * plane;
             let dst = (n * c_out + c) * plane;
-            let row: Vec<f32> = t.data()[src..src + plane].to_vec();
-            out.data_mut()[dst..dst + plane].copy_from_slice(&row);
+            out.data_mut()[dst..dst + plane].copy_from_slice(&t.data()[src..src + plane]);
         }
     }
     out

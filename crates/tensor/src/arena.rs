@@ -18,9 +18,13 @@
 //! of O(layers); the allocation-regression test in `tests/alloc_budget.rs`
 //! pins this down with a counting allocator.
 //!
-//! Pools are strictly per-thread (no locks): worker threads of the
-//! [`hsconas_par`] pool each warm their own arena for the duration of one
-//! batch dispatch. Reuse never changes numerics — every constructor fully
+//! Pools are strictly per-thread (no locks): each long-lived worker of the
+//! [`hsconas_par`] pool warms its own arena once and keeps it across
+//! dispatches. A buffer joins the pool of the thread that drops its
+//! tensor, so a tensor created on one thread and dropped on another moves
+//! memory between pools; parallel sites therefore drop what they create
+//! on the thread that created it. Reuse never changes numerics — every
+//! constructor fully
 //! overwrites the buffer contents it hands out — so arena on/off is
 //! bit-identical by construction (property-tested in the supernet crate).
 //!

@@ -30,8 +30,8 @@
 //!
 //! Both passes reuse per-thread im2col staging buffers
 //! ([`crate::scratch`]) and fan the batch dimension out over the shared
-//! worker pool when the per-image work is large enough to amortize thread
-//! startup. Each image's output (and input gradient) is a disjoint slice
+//! worker pool when the per-image work is large enough to amortize a
+//! dispatch, unless they already run inside one. Each image's output (and input gradient) is a disjoint slice
 //! and is computed by a pure per-image function, so results are
 //! bit-identical to the serial loop at any thread count; the weight
 //! gradient is accumulated from per-image partials merged in batch order,
@@ -44,8 +44,10 @@ use crate::scratch::with_scratch;
 use crate::{Shape4, Tensor, TensorError};
 
 /// Minimum per-image multiply-accumulate count before the batch loop is
-/// worth fanning out to worker threads (thread spawn is tens of
-/// microseconds; below this the serial loop wins).
+/// worth fanning out to the worker pool. A dispatch to the long-lived pool
+/// costs a queue push and a worker wake-up, not a thread spawn; this value
+/// dates from when every call spawned its own threads and has not been
+/// re-derived since (that needs a scripted A/B; see ROADMAP.md).
 const PAR_MAC_THRESHOLD: usize = 250_000;
 
 /// Static parameters of a convolution operator.
@@ -260,11 +262,11 @@ pub fn conv2d_forward_pinned(
 }
 
 /// Worker count for a batch loop: 1 (inline) unless there are several
-/// images and each image carries enough MACs to amortize thread startup,
-/// in which case the process default (`hsconas_par::default_threads`)
-/// applies.
+/// images, each image carries enough MACs to amortize a dispatch, and the
+/// caller is not already inside one, in which case the process default
+/// (`hsconas_par::default_threads`) applies.
 fn batch_threads(batch: usize, macs_per_image: usize) -> usize {
-    if batch > 1 && macs_per_image >= PAR_MAC_THRESHOLD {
+    if batch > 1 && macs_per_image >= PAR_MAC_THRESHOLD && !hsconas_par::in_worker() {
         0
     } else {
         1

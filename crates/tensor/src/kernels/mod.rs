@@ -32,9 +32,10 @@
 //! regardless of the band count, and results are **bit-identical at any
 //! thread count** (the `determinism_parallel` suite asserts this through
 //! the full supernet). Nested parallel sites stay serial: a GEMM issued
-//! from inside an `hsconas-par` worker (the batch-parallel convolution
-//! path) detects it via [`hsconas_par::in_worker`] and runs inline rather
-//! than oversubscribing the machine.
+//! from inside an `hsconas-par` dispatch (the batch-parallel convolution
+//! path, a compiled graph's batch shard) detects it via
+//! [`hsconas_par::in_worker`] and runs inline rather than oversubscribing
+//! the machine.
 //!
 //! Selection is overridable for A/B benchmarking via two environment
 //! variables, each read once per process and **rejected loudly** (panic)
@@ -280,12 +281,13 @@ impl ShapeClass {
         }
     }
 
-    /// MAC count below which the class stays single-threaded. The pool
-    /// spawns fresh scoped threads per call (tens of µs), so only
-    /// problems with several milliseconds of arithmetic go parallel.
-    /// Panel shapes need more work in flight than the others: their
-    /// small `m` limits the band count, so per-band packing overhead is
-    /// amortized over fewer rows.
+    /// MAC count below which the class stays single-threaded. The values
+    /// were tuned when the pool spawned fresh scoped threads per call
+    /// (tens of µs); dispatching to the long-lived pool is cheaper, but
+    /// re-deriving them needs a scripted A/B (see ROADMAP.md). Panel
+    /// shapes need more work in flight than the others: their small `m`
+    /// limits the band count, so per-band packing overhead is amortized
+    /// over fewer rows.
     fn parallel_mac_threshold(self) -> usize {
         match self {
             ShapeClass::Tiny | ShapeClass::Skinny => usize::MAX,

@@ -54,9 +54,10 @@ run_gate "kernel differential (scalar forced)" \
     env HSCONAS_KERNEL=scalar cargo test -q -p hsconas --test kernel_differential
 
 # Band-parallel determinism: the differential + pack-cache suites, the
-# supernet masked-forward exactness test, the checkpoint resume suite and
-# the depthwise kernel exactness tests are bit-identity contracts, so they
-# must hold with the band worker count pinned to 1 and to 8.
+# supernet masked-forward exactness test, the checkpoint resume suite, the
+# depthwise kernel exactness tests and the compiled-graph suite (batch
+# shards × row bands) are bit-identity contracts, so they must hold with
+# the band worker count pinned to 1 and to 8.
 for kt in 1 8; do
     run_gate "kernel suites (HSCONAS_KERNEL_THREADS=${kt})" \
         env HSCONAS_KERNEL_THREADS="${kt}" bash -c \
@@ -64,7 +65,8 @@ for kt in 1 8; do
          && cargo test -q -p hsconas --test pack_cache \
          && cargo test -q -p hsconas-supernet masking_is_exact_through_packed_kernels \
          && cargo test -q --release -p hsconas --test checkpoint_resume \
-         && cargo test -q --release -p hsconas-tensor depthwise"
+         && cargo test -q --release -p hsconas-tensor depthwise \
+         && cargo test -q -p hsconas --test graph_compile"
 done
 
 # Fault-injection suite: kills a checkpoint write at every named site and
@@ -75,9 +77,11 @@ run_gate "checkpoint fault injection" \
 
 # The alloc budget in tests/alloc_budget.rs is the checked-in contract for
 # the activation arena: a steady-state forward must stay O(1) allocations.
-# Run it in release too, where inlining changes allocation patterns.
+# Run it in release too, where inlining changes allocation patterns, along
+# with the worker-pool concurrency tests.
 run_gate "allocation-regression gate (release)" \
-    cargo test -q --release -p hsconas --test alloc_budget
+    bash -c "cargo test -q --release -p hsconas --test alloc_budget \
+             && cargo test -q --release -p hsconas-par"
 
 # Observation must stay near-free: with a sink installed, the population
 # evaluation workload may regress by at most 2% (tests/telemetry_overhead.rs

@@ -6,9 +6,9 @@
 //! the third stays under a checked-in budget. Raising `ALLOC_BUDGET`
 //! requires a deliberate decision — it is the contract the arena work
 //! established. The whole file is its own test target so the counting
-//! allocator cannot perturb any other test binary, and the measured
-//! forward is pinned to one thread (worker threads would allocate from
-//! their own cold arenas).
+//! allocator cannot perturb any other test binary. The supernet forward
+//! is pinned to one thread; the sharded-execute gate counts its pool
+//! worker's allocations too, once that worker's arena is warm.
 
 use hsconas_space::Arch;
 use hsconas_space::SearchSpace;
@@ -152,5 +152,65 @@ fn warm_tagged_gemm_allocations_stay_in_budget() {
     assert!(
         cold > warm,
         "cold tagged GEMM ({cold}) should out-allocate warm ({warm})"
+    );
+}
+
+/// Maximum heap allocations one warm, sharded batch-16 `execute` may
+/// perform, counted process-wide (the pool worker included). Measured: 12
+/// on a 2-vCPU x86-64 host (the topological order, the shard list, and
+/// each shard's refcount and activation tables), against 31 for the cold
+/// first call. A shard run on a fresh thread, or a tensor dropped on
+/// another thread than the one that made it, costs a cold arena's worth
+/// of allocations on every call.
+const SHARDED_EXECUTE_BUDGET: u64 = 16;
+
+/// The compiled-graph batch shards run on long-lived pool workers whose
+/// arenas stay warm, and no tensor crosses threads: after two warm calls
+/// at two threads, a third allocates O(1), not O(nodes) or O(images).
+#[test]
+fn sharded_execute_allocations_stay_in_budget() {
+    use hsconas_graph::{compile, execute, CompileOptions};
+
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let space = SearchSpace::tiny(10);
+    let arch = Arch::decode(&[3, 3, 0, 3, 1, 5, 4, 9]).unwrap();
+    let (art, _) = compile(space.skeleton(), &arch, &CompileOptions::default()).unwrap();
+    let mut rng = SmallRng::new(3);
+    let x = Tensor::randn([16, 3, 32, 32], 1.0, &mut rng);
+    hsconas_par::set_default_threads(2);
+
+    let cold_start = ALLOCS.load(Ordering::Relaxed);
+    let reference = execute(&art.graph, &x).unwrap();
+    let cold = ALLOCS.load(Ordering::Relaxed) - cold_start;
+    execute(&art.graph, &x).unwrap();
+    // On a busy host the caller can claim both shards of a call before the
+    // worker wakes, leaving the worker's arena cold however many calls
+    // warm up. So also run one shard's worth of work on each participant:
+    // the barrier holds the first item until the other participant has
+    // claimed the second.
+    let half = Tensor::randn([8, 3, 32, 32], 1.0, &mut rng);
+    let both_claimed = std::sync::Barrier::new(2);
+    hsconas_par::par_map_indices(2, 2, |_| {
+        both_claimed.wait();
+        execute(&art.graph, &half).unwrap();
+    });
+
+    let warm_start = ALLOCS.load(Ordering::Relaxed);
+    let out = execute(&art.graph, &x).unwrap();
+    let warm = ALLOCS.load(Ordering::Relaxed) - warm_start;
+    hsconas_par::set_default_threads(1);
+
+    assert_eq!(out.data(), reference.data());
+    assert!(
+        warm <= SHARDED_EXECUTE_BUDGET,
+        "steady-state sharded execute performed {warm} heap allocations \
+         (budget {SHARDED_EXECUTE_BUDGET}, cold run {cold}); a shard ran \
+         on a cold worker or a tensor crossed threads"
+    );
+    assert!(
+        cold > warm,
+        "cold execute ({cold}) should out-allocate warm execute ({warm})"
     );
 }
