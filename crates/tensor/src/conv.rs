@@ -26,25 +26,35 @@
 //! the im2col staging copy entirely: the column matrix is exactly the
 //! input plane matrix (the identity proven in [`crate::im2col`]'s tests),
 //! so the GEMMs read the input — and write the input gradient — in place,
-//! with bit-identical results to the staged path.
+//! with bit-identical results to the staged path. On planes narrower than
+//! one direct-kernel register tile (`oh·ow < 8`) a per-image product would
+//! run entirely in the kernel's scalar remainder loop, so the forward
+//! `W·X` and the input gradient `Wᵀ·dOut` fold the batch into the GEMM's
+//! columns instead ([`folded_product`]), bit-identically ([`folds`] gives
+//! the argument and its limit). The weight gradient stays per image:
+//! folding its summation axis would change the addition order.
 //!
-//! Both passes reuse per-thread im2col staging buffers
+//! The unfolded passes reuse per-thread im2col staging buffers
 //! ([`crate::scratch`]) and fan the batch dimension out over the shared
 //! worker pool when the per-image work is large enough to amortize a
-//! dispatch, unless they already run inside one. Each image's output (and input gradient) is a disjoint slice
-//! and is computed by a pure per-image function, so results are
-//! bit-identical to the serial loop at any thread count; the weight
-//! gradient is accumulated from per-image partials merged in batch order,
-//! which reproduces the serial addition order exactly.
+//! dispatch, unless they already run inside one. Each image's output (and
+//! input gradient) is a disjoint slice and is computed by a pure per-image
+//! function, so results are bit-identical to the serial loop at any thread
+//! count; the weight gradient is accumulated from per-image partials
+//! merged in batch order, which reproduces the serial addition order
+//! exactly.
 
 use crate::im2col::{col2im, im2col, ConvGeom};
-use crate::kernels::{depthwise, GemmTags};
-use crate::matmul::{matmul_a_bt, matmul_accumulate_tagged, matmul_at_b_tagged};
+use crate::kernels::{depthwise, direct, gemm_pinned, GemmTags, Op};
+use crate::matmul::{matmul_a_bt, matmul_at_b_tagged};
 use crate::scratch::with_scratch;
 use crate::{Shape4, Tensor, TensorError};
 
-/// Minimum per-image multiply-accumulate count before the batch loop is
-/// worth fanning out to the worker pool. A dispatch to the long-lived pool
+/// Minimum per-image multiply-accumulate count before a per-image batch
+/// loop is worth fanning out to the worker pool; batch-folded pointwise
+/// products ([`folds`]) run as one serial direct GEMM and never fan out,
+/// and a folded input gradient leaves only the weight gradient's MACs in
+/// the per-image backward loop. A dispatch to the long-lived pool
 /// costs a queue push and a worker wake-up, not a thread spawn; this value
 /// dates from when every call spawned its own threads and has not been
 /// re-derived since (that needs a scripted A/B; see ROADMAP.md).
@@ -197,6 +207,24 @@ pub fn conv2d_forward_pinned(
     let input_data = input.data();
     let weight_data = weight.data();
     let pointwise = params.is_pointwise();
+    // The weight operand is tagged so its packed panels come from the
+    // persistent cache; without a graph reference the selection follows
+    // the per-image shape, as an unpinned call would.
+    let tags = GemmTags::a_tag(weight.pack_tag());
+    let reference = ref_gemm.unwrap_or((params.c_out, krows, cols));
+    if folds(params, ishape.n, cols, krows) {
+        folded_product(
+            Op::Ab,
+            reference,
+            weight_data,
+            tags,
+            input_data,
+            out.data_mut(),
+            ishape.n,
+            (params.c_out, krows, cols),
+        );
+        return Ok(out);
+    }
     // Depthwise weights are gathered once per call, masked channels dropped.
     let dw = params.is_depthwise().then(|| {
         depthwise::counter().incr();
@@ -208,33 +236,20 @@ pub fn conv2d_forward_pinned(
             depthwise::forward_image(image, w, out_image, &geom);
             return;
         }
-        // out = W · col; the weight operand is tagged so its packed panels
-        // come from the persistent cache.
+        // out = W · col
         let product = |col: &[f32], out_image: &mut [f32]| {
-            let tags = GemmTags::a_tag(weight.pack_tag());
-            match ref_gemm {
-                Some(r) => crate::kernels::gemm_pinned(
-                    r,
-                    crate::kernels::Op::Ab,
-                    weight_data,
-                    col,
-                    out_image,
-                    params.c_out,
-                    krows,
-                    cols,
-                    true,
-                    tags,
-                ),
-                None => matmul_accumulate_tagged(
-                    weight_data,
-                    col,
-                    out_image,
-                    params.c_out,
-                    krows,
-                    cols,
-                    tags,
-                ),
-            }
+            gemm_pinned(
+                reference,
+                Op::Ab,
+                weight_data,
+                col,
+                out_image,
+                params.c_out,
+                krows,
+                cols,
+                true,
+                tags,
+            );
         };
         if pointwise {
             // col ≡ the input plane matrix: multiply in place, no staging.
@@ -259,6 +274,64 @@ pub fn conv2d_forward_pinned(
         hsconas_par::par_for_each(images, threads, forward_one);
     }
     Ok(out)
+}
+
+/// True when a dense pointwise product over `batch` planes of `cols`
+/// columns, summing over `k`, runs as one GEMM over the whole batch
+/// ([`folded_product`]) instead of one GEMM per image.
+///
+/// Below one register tile width a per-image product runs entirely in the
+/// direct kernel's scalar remainder loop; folded, the batch fills whole
+/// `4×8` tiles. The direct kernel computes each output column
+/// independently of where it falls: a full tile accumulates a `KC`-deep
+/// block from `+0` and adds it into `c`, the remainder loop accumulates
+/// straight into `c` in the same `k` order, and the `a == 0` terms only it
+/// skips add `±0`. Into a zeroed `c` both land on the same bits for finite
+/// operands — while `k` fits one `KC` block. Past that the tile adds each
+/// block's partial sum where the remainder loop keeps accumulating, so
+/// deeper products stay per image. Wider planes stay per image too: they
+/// already fill tiles, and the per-image loop keeps its pool fan-out.
+fn folds(params: &Conv2dParams, batch: usize, cols: usize, k: usize) -> bool {
+    params.groups == 1 && params.is_pointwise() && batch > 1 && cols < direct::NR && k <= direct::KC
+}
+
+/// `dst[i] = a' · src[i]` for every image `i` of a batch, as one GEMM of
+/// per-image shape `mkn` widened to `batch · n` columns: the `k × n`
+/// planes of `src` are gathered side by side into a `k × batch·n` arena
+/// matrix, multiplied with the kernel selection pinned to the per-image
+/// `reference` shape, and the `m × batch·n` product is scattered back to
+/// `dst`'s `[batch, m, n]` layout. `dst` must be zeroed, as the per-image
+/// products it replaces accumulate into zeroed slices.
+#[allow(clippy::too_many_arguments)]
+fn folded_product(
+    op: Op,
+    reference: (usize, usize, usize),
+    a: &[f32],
+    tags: GemmTags,
+    src: &[f32],
+    dst: &mut [f32],
+    batch: usize,
+    (m, k, n): (usize, usize, usize),
+) {
+    let wide = batch * n;
+    with_scratch(k * wide, |b| {
+        swap_outer(src, b, batch, k, n);
+        with_scratch(m * wide, |c| {
+            gemm_pinned(reference, op, a, b, c, m, k, wide, true, tags);
+            swap_outer(c, dst, m, batch, n);
+        });
+    });
+}
+
+/// Copies `[outer][inner][len]` rows of `src` into `[inner][outer][len]`
+/// order in `dst`.
+fn swap_outer(src: &[f32], dst: &mut [f32], outer: usize, inner: usize, len: usize) {
+    for (o, block) in src.chunks_exact(inner * len).enumerate() {
+        for (i, row) in block.chunks_exact(len).enumerate() {
+            let at = (i * outer + o) * len;
+            dst[at..at + len].copy_from_slice(row);
+        }
+    }
 }
 
 /// Worker count for a batch loop: 1 (inline) unless there are several
@@ -330,6 +403,23 @@ pub fn conv2d_backward(
     let weight_data = weight.data();
     let grad_out_data = grad_out.data();
     let pointwise = params.is_pointwise();
+    let tags = GemmTags::a_tag(weight.pack_tag());
+    // dIn = Wᵀ (krows × c_out) · dOut (c_out × cols), one GEMM for the
+    // whole batch when the planes are narrower than a register tile.
+    let fold_din = folds(params, ishape.n, cols, params.c_out);
+    if fold_din {
+        let din = (krows, params.c_out, cols);
+        folded_product(
+            Op::AtB,
+            din,
+            weight_data,
+            tags,
+            grad_out_data,
+            grad_in.data_mut(),
+            ishape.n,
+            din,
+        );
+    }
     // Depthwise weights are gathered once per call, every channel kept:
     // masked channels still have a weight gradient.
     let dw = params.is_depthwise().then(|| {
@@ -347,7 +437,6 @@ pub fn conv2d_backward(
             depthwise::backward_image(image, dout, w, gin_image, &mut gw, &geom);
             return gw;
         }
-        let tags = GemmTags::a_tag(weight.pack_tag());
         if pointwise {
             // col ≡ the input plane matrix and col2im is the identity
             // accumulation, so both products run in place: dW reads the
@@ -355,16 +444,18 @@ pub fn conv2d_backward(
             // slice (bit-identical to staging through dcol).
             // dW += dOut (c_out × cols) · inᵀ (cols × krows)
             matmul_a_bt(dout, image, &mut gw, params.c_out, cols, krows);
-            // dIn += Wᵀ (krows × c_out) · dOut (c_out × cols)
-            matmul_at_b_tagged(
-                weight_data,
-                dout,
-                gin_image,
-                params.c_out,
-                krows,
-                cols,
-                tags,
-            );
+            if !fold_din {
+                // dIn += Wᵀ (krows × c_out) · dOut (c_out × cols)
+                matmul_at_b_tagged(
+                    weight_data,
+                    dout,
+                    gin_image,
+                    params.c_out,
+                    krows,
+                    cols,
+                    tags,
+                );
+            }
             return gw;
         }
         with_scratch(krows * cols, |col| {
@@ -381,7 +472,8 @@ pub fn conv2d_backward(
         gw
     };
 
-    let threads = batch_threads(ishape.n, 2 * params.c_out * out_plane * krows);
+    let products = if fold_din { 1 } else { 2 };
+    let threads = batch_threads(ishape.n, products * params.c_out * out_plane * krows);
     if threads == 1 {
         // Inline path mirrors the parallel merge exactly: one zeroed
         // partial per image, added in batch order, buffer recycled.
@@ -738,39 +830,114 @@ mod tests {
         }
     }
 
+    /// The per-image pointwise route: one `W·X` and one `Wᵀ·dY` GEMM per
+    /// image (the forward pinned to `reference` when given) and per-image
+    /// dW partials merged in batch order.
+    fn per_image_pointwise(
+        x: &Tensor,
+        w: &Tensor,
+        dy: &Tensor,
+        p: &Conv2dParams,
+        reference: Option<(usize, usize, usize)>,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        use crate::matmul::{matmul_accumulate, matmul_at_b};
+        let s = x.shape();
+        let cols = s.h * s.w;
+        let (xs, ys) = (p.c_in * cols, p.c_out * cols);
+        let mut y = vec![0.0f32; s.n * ys];
+        let mut din = vec![0.0f32; x.len()];
+        let mut dw = vec![0.0f32; w.len()];
+        for n in 0..s.n {
+            let image = &x.data()[n * xs..(n + 1) * xs];
+            let out = &mut y[n * ys..(n + 1) * ys];
+            match reference {
+                Some(r) => gemm_pinned(
+                    r,
+                    Op::Ab,
+                    w.data(),
+                    image,
+                    out,
+                    p.c_out,
+                    p.c_in,
+                    cols,
+                    true,
+                    GemmTags::default(),
+                ),
+                None => matmul_accumulate(w.data(), image, out, p.c_out, p.c_in, cols),
+            }
+            let dout = &dy.data()[n * ys..(n + 1) * ys];
+            let gin = &mut din[n * xs..(n + 1) * xs];
+            matmul_at_b(w.data(), dout, gin, p.c_out, p.c_in, cols);
+            let mut partial = vec![0.0f32; w.len()];
+            matmul_a_bt(dout, image, &mut partial, p.c_out, cols, p.c_in);
+            for (acc, v) in dw.iter_mut().zip(&partial) {
+                *acc += v;
+            }
+        }
+        (y, din, dw)
+    }
+
     #[test]
     fn pointwise_fast_path_is_bit_identical_to_staged_math() {
-        // The fast path feeds the input plane matrix to the same GEMM the
-        // staged path would run on the im2col copy (an identity for 1×1/
-        // stride-1/no-pad) — outputs must agree bitwise, not just within
-        // tolerance.
+        // Narrow planes (< 8 columns) fold the batch into one GEMM per
+        // product, wider ones run per image; both must reproduce the
+        // per-image products bitwise, not just within tolerance. Channel
+        // pairs cover Tiny and Skinny per-image shapes and a side deeper
+        // than one direct-kernel `KC` block (320), where that product must
+        // stay per image.
         let mut rng = SmallRng::new(22);
-        let p = Conv2dParams {
-            c_in: 8,
-            c_out: 12,
-            kernel: 1,
-            stride: 1,
-            pad: 0,
-            groups: 1,
-        };
-        let x = Tensor::randn([3, 8, 9, 7], 1.0, &mut rng);
-        let w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
-        let y = conv2d_forward(&x, &w, &p).unwrap();
-
-        let s = x.shape();
-        let plane = s.h * s.w;
-        let mut want = vec![0.0f32; s.n * p.c_out * plane];
-        for n in 0..s.n {
-            crate::matmul::matmul_accumulate(
-                w.data(),
-                &x.data()[n * p.c_in * plane..(n + 1) * p.c_in * plane],
-                &mut want[n * p.c_out * plane..(n + 1) * p.c_out * plane],
-                p.c_out,
-                p.c_in,
-                plane,
-            );
+        let planes = [(1, 1), (2, 2), (1, 7), (2, 3), (3, 3), (4, 4)];
+        let channels = [(6, 10), (64, 64), (256, 256), (320, 24), (24, 320)];
+        for threads in [1, 4] {
+            hsconas_par::set_default_threads(threads);
+            for &(c_in, c_out) in &channels {
+                let p = Conv2dParams {
+                    c_in,
+                    c_out,
+                    kernel: 1,
+                    stride: 1,
+                    pad: 0,
+                    groups: 1,
+                };
+                let mut w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
+                // Masked output channels (all-zero rows of W, and so
+                // all-zero columns of Wᵀ) and one masked input channel.
+                for co in [1, 2, 3, 5] {
+                    w.data_mut()[co * c_in..(co + 1) * c_in].fill(0.0);
+                }
+                for co in 0..c_out {
+                    w.data_mut()[co * c_in + 4] = 0.0;
+                }
+                let batches: Vec<usize> = if c_in * c_out > 10_000 {
+                    vec![1, 2, 8, 9]
+                } else {
+                    (1..=9).collect()
+                };
+                for &(h, wd) in &planes {
+                    let cols = h * wd;
+                    // A full-width reference shape, as the graph compiler
+                    // records for a channel-specialized conv.
+                    let pinned = Some((c_out + 4, c_in + 8, cols));
+                    for &batch in &batches {
+                        let x = Tensor::randn([batch, c_in, h, wd], 1.0, &mut rng);
+                        let dy = Tensor::randn([batch, c_out, h, wd], 1.0, &mut rng);
+                        for reference in [None, pinned] {
+                            let y = conv2d_forward_pinned(&x, &w, &p, reference).unwrap();
+                            let g = conv2d_backward(&x, &w, &dy, &p).unwrap();
+                            let (want_y, want_din, want_dw) =
+                                per_image_pointwise(&x, &w, &dy, &p, reference);
+                            let case = format!(
+                                "{c_in}->{c_out} n{batch} {h}x{wd} ref {reference:?} t{threads}"
+                            );
+                            assert_bits(&format!("{case} y"), y.data(), &want_y);
+                            assert_bits(&format!("{case} dIn"), g.input.data(), &want_din);
+                            assert_bits(&format!("{case} dW"), g.weight.data(), &want_dw);
+                        }
+                    }
+                }
+            }
         }
-        assert_eq!(y.data(), want.as_slice());
+        hsconas_par::set_default_threads(0);
     }
 
     #[test]

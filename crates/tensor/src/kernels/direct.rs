@@ -14,10 +14,10 @@
 /// Rows of the register tile (rows of `a` per microkernel call).
 const MR: usize = 4;
 /// Columns of the register tile (columns of `c` per microkernel call).
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Cache block along the shared `k` dimension; 256 rows of `b` at NR
 /// lanes stay resident in L1/L2 alongside the `a` panel.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 
 /// `c += a (m×k) · b (k×n)`, both row-major, no packing.
 pub(crate) fn matmul_accumulate(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {

@@ -486,9 +486,11 @@ pub fn parallel_counts() -> ParallelCounts {
 pub enum Op {
     /// `a` stored `(m, k)`, `b` stored `(k, n)` — plain product.
     Ab,
-    /// `a` stored `(k, m)` (weight-gradient product `aᵀ·b`).
+    /// `a` stored `(k, m)`, product `aᵀ·b`: the conv input gradient
+    /// `Wᵀ·dOut` and the `Linear` weight gradient `dyᵀ·x`.
     AtB,
-    /// `b` stored `(n, k)` (input-gradient product `a·bᵀ`).
+    /// `b` stored `(n, k)`, product `a·bᵀ`: the conv weight gradient
+    /// `dOut·colᵀ` and the `Linear` forward `x·Wᵀ`.
     ABt,
 }
 

@@ -67,7 +67,8 @@ pub fn matmul_accumulate_tagged(
     gemm_tagged(Op::Ab, a, b, c, m, k, n, true, tags);
 }
 
-/// `c += aᵀ (k×m, given as m×k) · b (k×n)` — used for weight gradients.
+/// `c += aᵀ (k×m, given as m×k) · b (k×n)` — the conv input gradient
+/// `Wᵀ·dOut` and the `Linear` weight gradient `dyᵀ·x`.
 ///
 /// `a` is stored row-major with shape `(k, m)`; conceptually we compute
 /// `a_transposed · b` where `a_transposed` is `(m, k)`. The kernel layer
@@ -107,7 +108,8 @@ pub fn matmul_at_b_tagged(
     gemm_tagged(Op::AtB, a, b, c, m, k, n, true, tags);
 }
 
-/// `c += a (m×k) · bᵀ (n×k, given row-major)` — used for input gradients.
+/// `c += a (m×k) · bᵀ (n×k, given row-major)` — the conv weight gradient
+/// `dOut·colᵀ` and the `Linear` forward `x·Wᵀ`.
 ///
 /// # Panics
 ///

@@ -55,8 +55,9 @@ run_gate "kernel differential (scalar forced)" \
 
 # Band-parallel determinism: the differential + pack-cache suites, the
 # supernet masked-forward exactness test, the checkpoint resume suite, the
-# depthwise kernel exactness tests and the compiled-graph suite (batch
-# shards × row bands) are bit-identity contracts, so they must hold with
+# depthwise and pointwise conv exactness tests, the conv dispatch-count
+# guards and the compiled-graph suite (batch shards × row bands) are
+# bit-identity contracts, so they must hold with
 # the band worker count pinned to 1 and to 8.
 for kt in 1 8; do
     run_gate "kernel suites (HSCONAS_KERNEL_THREADS=${kt})" \
@@ -66,6 +67,8 @@ for kt in 1 8; do
          && cargo test -q -p hsconas-supernet masking_is_exact_through_packed_kernels \
          && cargo test -q --release -p hsconas --test checkpoint_resume \
          && cargo test -q --release -p hsconas-tensor depthwise \
+         && cargo test -q --release -p hsconas-tensor pointwise \
+         && cargo test -q --release -p hsconas-tensor --test conv_dispatch \
          && cargo test -q -p hsconas --test graph_compile"
 done
 
