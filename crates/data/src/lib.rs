@@ -80,7 +80,7 @@ impl SyntheticDataset {
     /// Generates one sample deterministically from `(self.seed, index)`.
     /// Even indices round-robin class labels so every batch is balanced.
     pub fn sample(&self, index: u64) -> (Tensor, usize) {
-        let label = (index as usize) % self.num_classes;
+        let label = self.label(index);
         let mut rng = SmallRng::new(
             self.seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -103,6 +103,17 @@ impl SyntheticDataset {
             labels.push(label);
         }
         (images, labels)
+    }
+
+    /// The labels of [`Self::batch`]`(n, start_index)`, without rendering
+    /// its images.
+    pub fn labels(&self, n: usize, start_index: u64) -> Vec<usize> {
+        (0..n).map(|i| self.label(start_index + i as u64)).collect()
+    }
+
+    /// The label of sample `index`.
+    fn label(&self, index: u64) -> usize {
+        (index as usize) % self.num_classes
     }
 
     /// Renders one image of `label`'s grating pattern with per-sample
@@ -162,6 +173,18 @@ mod tests {
         let d = SyntheticDataset::new(4, 8, 0);
         let (_, labels) = d.batch(8, 0);
         assert_eq!(labels, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn labels_match_batch_labels() {
+        let d = SyntheticDataset::new(7, 4, 3);
+        for (n, start) in [(0, 0), (1, 6), (8, 0), (16, 13), (9, u32::MAX as u64)] {
+            assert_eq!(
+                d.labels(n, start),
+                d.batch(n, start).1,
+                "n {n} start {start}"
+            );
+        }
     }
 
     #[test]

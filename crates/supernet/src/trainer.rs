@@ -519,8 +519,7 @@ impl SupernetTrainer {
             let (mut x, labels) = match (&resume, &cached_labels) {
                 (Some((_, eval)), Some(ls)) => (eval[b].clone(), ls[b].clone()),
                 (Some((_, eval)), None) => {
-                    let (_, labels) = data.batch(self.config.batch_size, index);
-                    (eval[b].clone(), labels)
+                    (eval[b].clone(), data.labels(self.config.batch_size, index))
                 }
                 (None, _) => {
                     let (batch, labels) = data.batch(self.config.batch_size, index);

@@ -72,6 +72,12 @@ for kt in 1 8; do
          && cargo test -q -p hsconas --test graph_compile"
 done
 
+# Batch norm and the augmentations run on slices; optimized builds must
+# still match the scalar reference loops bit for bit.
+run_gate "slice-loop exactness (release)" \
+    bash -c "cargo test -q --release -p hsconas-nn batchnorm \
+             && cargo test -q --release -p hsconas-data augment"
+
 # Fault-injection suite: kills a checkpoint write at every named site and
 # asserts the atomic temp+fsync+rename protocol never leaves a torn file.
 # The failpoints feature is compiled out everywhere else.

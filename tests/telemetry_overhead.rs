@@ -6,11 +6,15 @@
 //! telemetry sink is installed.
 //!
 //! The two variants are timed interleaved (off/on per round, min-of-N) so
-//! thermal and scheduler drift cancel. The assertion only fires in release
-//! builds — debug timings are too noisy for a 2% bound — but the workload
-//! always runs, so the instrumented path stays exercised under `cargo
-//! test`. `scripts/check.sh` runs this test with `--release` to enforce
-//! the gate.
+//! thermal and scheduler drift cancel. One pass takes only a few
+//! milliseconds, so each timed sample repeats it [`PASSES_PER_SAMPLE`]
+//! times, and release builds take the minimum over [`ROUNDS`] rounds: a
+//! small shared host switches between fast and slow periods, and each
+//! variant needs samples from a fast one. The assertion only fires in
+//! release builds — debug timings are too noisy for a 2% bound — but the
+//! workload always runs, so the instrumented path stays exercised under
+//! `cargo test`. `scripts/check.sh` runs this test with `--release` to
+//! enforce the gate.
 
 #![cfg(feature = "telemetry")]
 
@@ -22,6 +26,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Population passes per timed sample.
+const PASSES_PER_SAMPLE: usize = 4;
+
+/// Interleaved off/on rounds; each variant reports its fastest sample.
+/// Debug builds, where nothing is asserted, run a few.
+const ROUNDS: usize = if cfg!(debug_assertions) { 3 } else { 61 };
 
 /// An elite plus single-gene mutants, the shape the EA scheduler submits.
 fn sibling_population(space: &SearchSpace, seed: u64) -> Vec<Arch> {
@@ -59,19 +70,22 @@ fn enabled_telemetry_costs_under_two_percent() {
             black_box(trainer.evaluate(arch, &data, 2).unwrap());
         }
     };
+    let sample = |trainer: &mut SupernetTrainer| {
+        let start = Instant::now();
+        for _ in 0..PASSES_PER_SAMPLE {
+            pass(trainer);
+        }
+        start.elapsed().as_secs_f64()
+    };
     pass(&mut trainer); // warm-up (arena, caches, page faults)
 
     let mut min_off = f64::INFINITY;
     let mut min_on = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        pass(&mut trainer);
-        min_off = min_off.min(start.elapsed().as_secs_f64());
+    for _ in 0..ROUNDS {
+        min_off = min_off.min(sample(&mut trainer));
 
         let sink = hsconas_telemetry::MemorySink::install();
-        let start = Instant::now();
-        pass(&mut trainer);
-        min_on = min_on.min(start.elapsed().as_secs_f64());
+        min_on = min_on.min(sample(&mut trainer));
         sink.uninstall();
     }
     hsconas_par::set_default_threads(0);
