@@ -52,12 +52,6 @@ impl SurrogateAccuracy {
         }
     }
 
-    /// Creates an oracle with explicit constants (used by calibration
-    /// sweeps and ablations).
-    pub fn with_config(skeleton: NetworkSkeleton, config: SurrogateConfig) -> Self {
-        SurrogateAccuracy { skeleton, config }
-    }
-
     /// The oracle's skeleton.
     pub fn skeleton(&self) -> &NetworkSkeleton {
         &self.skeleton

@@ -163,7 +163,7 @@ fn bench_kernels(c: &mut Criterion) {
 /// variants at explicit band counts 1/2/4/8 (`_b<bands>`). Each group
 /// declares 2·m·k·n elements per call, so its `Gelem/s` reads as GFLOP/s.
 fn bench_matmul_tiled(c: &mut Criterion) {
-    use hsconas_tensor::kernels::{gemm_with_threads, selected_variant, Op, Variant};
+    use hsconas_tensor::kernels::{gemm_ext, selected_variant, GemmTags, Op, Variant};
     let variants: Vec<Variant> = [Variant::Direct, Variant::Scalar, Variant::Avx2]
         .into_iter()
         .filter(|v| v.is_available())
@@ -202,7 +202,7 @@ fn bench_matmul_tiled(c: &mut Criterion) {
                 };
                 group.bench_function(&name, |bch| {
                     bch.iter(|| {
-                        gemm_with_threads(
+                        gemm_ext(
                             variant,
                             threads,
                             Op::Ab,
@@ -213,6 +213,7 @@ fn bench_matmul_tiled(c: &mut Criterion) {
                             k,
                             n,
                             false,
+                            GemmTags::default(),
                         );
                     })
                 });

@@ -5,8 +5,8 @@
 //! the same compile-out discipline as `hsconas-telemetry`.
 //!
 //! With the feature on, named sites inside the checkpoint write path can
-//! be armed to either return an error ([`FailMode::Error`]) or abort the
-//! process ([`FailMode::Abort`]) on their Nth hit. The crash-safety tests
+//! be armed to either return an error (`FailMode::Error`) or abort the
+//! process (`FailMode::Abort`) on their Nth hit. The crash-safety tests
 //! use this to prove that a kill at *any* write site leaves the previous
 //! complete checkpoint intact and readable.
 //!

@@ -42,7 +42,7 @@ pub const HEADER_LEN: usize = 44;
 /// Which long-running phase a checkpoint belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Supernet warm training ([`hsconas-supernet`]'s trainer).
+    /// Supernet warm training (`hsconas-supernet`'s trainer).
     Train,
     /// Progressive shrinking stage progress.
     Shrink,

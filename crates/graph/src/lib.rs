@@ -4,7 +4,7 @@
 //! declarative optimization patches, and a standalone compile/infer
 //! artifact.
 //!
-//! The searched `(op, c)` genome is **lowered** ([`lower`]) from the live
+//! The searched `(op, c)` genome is **lowered** ([`lower()`]) from the live
 //! supernet into an explicit graph, **optimized** ([`optimize`]) by four
 //! patches — Conv+BN+ReLU fusion, channel-mask specialization (masked
 //! channels are physically removed from weights, so the deployed GEMMs

@@ -89,7 +89,7 @@ impl LatencyPredictor {
 
     /// Like [`calibrate`](Self::calibrate), but measures the `m`
     /// calibration architectures across the shared worker pool
-    /// ([`hsconas_par`]; `threads == 0` uses the process default).
+    /// (`hsconas-par`; `threads == 0` uses the process default).
     ///
     /// Determinism works differently from the serial path: sampling uses
     /// one stream seeded by `base_seed` while measurement `i` derives its

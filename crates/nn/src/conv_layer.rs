@@ -84,11 +84,6 @@ impl Conv2d {
     pub fn weight(&self) -> &Tensor {
         &self.weight
     }
-
-    /// Mutable access to the weight tensor (used for weight inheritance).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight
-    }
 }
 
 impl Layer for Conv2d {

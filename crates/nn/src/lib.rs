@@ -35,7 +35,6 @@ pub mod blocks;
 pub mod conv_layer;
 pub mod linear;
 pub mod loss;
-pub mod mbconv;
 pub mod network;
 pub mod optim;
 pub mod pooling;
@@ -50,9 +49,8 @@ pub use error::NnError;
 pub use layer::{BnMode, Layer, LayerExport, ParamVisitor};
 pub use linear::Linear;
 pub use loss::SoftmaxCrossEntropy;
-pub use mbconv::InvertedResidual;
 pub use network::Sequential;
 pub use optim::Sgd;
-pub use pooling::{GlobalAvgPool, MaxPool2d};
+pub use pooling::GlobalAvgPool;
 pub use schedule::CosineSchedule;
 pub use shuffle::ChannelShuffle;

@@ -1,17 +1,16 @@
 //! Fully connected layer on `[n, c, 1, 1]` activations.
 //!
 //! The three products (forward `x·Wᵀ`, weight gradient `dyᵀ·x`, input
-//! gradient `dy·W`) go through `hsconas_tensor::matmul`, which dispatches
-//! onto the runtime-selected GEMM kernel; classifier-head shapes are small
-//! enough that the selector usually keeps them on the direct path. The
-//! weight operand of the forward and input-gradient products carries a
-//! pack-cache tag, so large heads pack the weight once per mutation
-//! generation in the persistent panel cache.
+//! gradient `dy·W`) go through `hsconas_tensor::kernels::gemm`, which
+//! dispatches onto the runtime-selected GEMM kernel; classifier-head
+//! shapes are small enough that the selector usually keeps them on the
+//! direct path. The weight operand of the forward and input-gradient
+//! products carries a pack-cache tag, so large heads pack the weight once
+//! per mutation generation in the persistent panel cache.
 
 use crate::layer::{Layer, ParamVisitor};
 use crate::NnError;
-use hsconas_tensor::kernels::GemmTags;
-use hsconas_tensor::matmul::{matmul_a_bt_tagged, matmul_accumulate_tagged, matmul_at_b};
+use hsconas_tensor::kernels::{gemm, GemmTags, Op};
 use hsconas_tensor::rng::SmallRng;
 use hsconas_tensor::{Tensor, TensorError};
 
@@ -68,13 +67,15 @@ impl Layer for Linear {
         }
         // y (n × out) = x (n × in) · Wᵀ (in × out)
         let mut out = Tensor::zeros([s.n, self.out_features, 1, 1]);
-        matmul_a_bt_tagged(
+        gemm(
+            Op::ABt,
             input.data(),
             self.weight.data(),
             out.data_mut(),
             s.n,
             self.in_features,
             self.out_features,
+            true,
             GemmTags::b_tag(self.weight.pack_tag()),
         );
         for n in 0..s.n {
@@ -101,13 +102,16 @@ impl Layer for Linear {
             }));
         }
         // dW (out × in) += dyᵀ (out × n) · x (n × in)
-        matmul_at_b(
+        gemm(
+            Op::AtB,
             grad_out.data(),
             input.data(),
             self.grad_weight.data_mut(),
-            n,
             self.out_features,
+            n,
             self.in_features,
+            true,
+            GemmTags::default(),
         );
         for ni in 0..n {
             for o in 0..self.out_features {
@@ -116,13 +120,15 @@ impl Layer for Linear {
         }
         // dx (n × in) = dy (n × out) · W (out × in)
         let mut grad_in = Tensor::zeros([n, self.in_features, 1, 1]);
-        matmul_accumulate_tagged(
+        gemm(
+            Op::Ab,
             grad_out.data(),
             self.weight.data(),
             grad_in.data_mut(),
             n,
             self.out_features,
             self.in_features,
+            true,
             GemmTags::b_tag(self.weight.pack_tag()),
         );
         Ok(grad_in)

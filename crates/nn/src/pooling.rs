@@ -1,4 +1,5 @@
-//! Pooling layers wrapping the kernels in [`hsconas_tensor::pool`].
+//! The global average pooling layer, wrapping the kernels in
+//! [`hsconas_tensor::pool`].
 
 use crate::layer::{Layer, ParamVisitor};
 use crate::NnError;
@@ -44,51 +45,6 @@ impl Layer for GlobalAvgPool {
     }
 }
 
-/// Max pooling layer with square kernel.
-#[derive(Debug, Clone)]
-pub struct MaxPool2d {
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    cache: Option<(Shape4, Vec<usize>)>,
-}
-
-impl MaxPool2d {
-    /// Creates a max-pool layer.
-    pub fn new(kernel: usize, stride: usize, pad: usize) -> Self {
-        MaxPool2d {
-            kernel,
-            stride,
-            pad,
-            cache: None,
-        }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let (out, arg) = pool::max_pool(input, self.kernel, self.stride, self.pad);
-        if train {
-            self.cache = Some((input.shape(), arg));
-        }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let (shape, arg) = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "MaxPool2d" })?;
-        Ok(pool::max_pool_backward(*shape, grad_out, arg)?)
-    }
-
-    fn visit_params(&mut self, _f: &mut ParamVisitor) {}
-
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,22 +60,8 @@ mod tests {
     }
 
     #[test]
-    fn max_pool_layer_shapes() {
-        let x = Tensor::from_vec([1, 1, 4, 4], (0..16).map(|v| v as f32).collect()).unwrap();
-        let mut mp = MaxPool2d::new(2, 2, 0);
-        let y = mp.forward(&x, true).unwrap();
-        assert_eq!(y.shape().to_vec(), vec![1, 1, 2, 2]);
-        assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
-        let gi = mp.backward(&Tensor::full([1, 1, 2, 2], 1.0)).unwrap();
-        assert_eq!(gi.sum(), 4.0);
-    }
-
-    #[test]
     fn backward_requires_forward() {
         assert!(GlobalAvgPool::new()
-            .backward(&Tensor::zeros([1, 1, 1, 1]))
-            .is_err());
-        assert!(MaxPool2d::new(2, 2, 0)
             .backward(&Tensor::zeros([1, 1, 1, 1]))
             .is_err());
     }

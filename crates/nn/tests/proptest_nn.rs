@@ -1,9 +1,7 @@
 //! Property tests for the nn layer zoo: shape contracts and gradient
 //! plumbing must hold for arbitrary valid configurations.
 
-use hsconas_nn::{
-    BatchNorm2d, Conv2d, InvertedResidual, Layer, Linear, Relu, ShuffleUnit, ShuffleUnitKind,
-};
+use hsconas_nn::{BatchNorm2d, Conv2d, Layer, Linear, Relu, ShuffleUnit, ShuffleUnitKind};
 use hsconas_tensor::rng::SmallRng;
 use hsconas_tensor::Tensor;
 use proptest::prelude::*;
@@ -116,19 +114,5 @@ proptest! {
             let expect = f(&mut fc, &x).data()[i] + f(&mut fc, &y).data()[i] - f0.data()[i];
             prop_assert!((lhs.data()[i] - expect).abs() < 1e-3);
         }
-    }
-
-    /// InvertedResidual honours the residual rule for arbitrary configs.
-    #[test]
-    fn inverted_residual_rule(
-        c_in in 1usize..8,
-        c_out in 1usize..8,
-        stride in 1usize..3,
-        expand in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = SmallRng::new(seed);
-        let block = InvertedResidual::new(c_in, c_out, expand, 3, stride, &mut rng).unwrap();
-        prop_assert_eq!(block.has_residual(), stride == 1 && c_in == c_out);
     }
 }

@@ -103,11 +103,6 @@ impl Fleet {
         &self.addrs
     }
 
-    /// Worker process ids in shard order (for pid-scoped leak checks).
-    pub fn pids(&self) -> Vec<u32> {
-        self.children.iter().map(Child::id).collect()
-    }
-
     /// Waits up to `timeout` for every child to exit on its own (the
     /// router's drain sends each a `shutdown`), then kills and reaps any
     /// straggler. Returns the number of workers that had to be killed.

@@ -40,7 +40,7 @@ pub const TIMED: [(&str, &str); 5] = keyed!("serve.latency_ms.":
     "predict_latency", "score", "search", "pareto", "infer");
 
 /// Rejection kinds counted in `status.rejected`, in wire order. The first
-/// five match [`REJECTED_CODES`] by index; the last, `internal`, takes
+/// five match `REJECTED_CODES` by index; the last, `internal`, takes
 /// every other code.
 pub const REJECTED: [(&str, &str); 6] = keyed!("serve.rejected.":
     "overloaded", "malformed", "oversized", "unknown_device", "shutting_down", "internal");

@@ -241,8 +241,6 @@ impl Default for RouterOptions {
 pub struct ShardState {
     /// Worker address (`host:port`).
     pub addr: String,
-    /// Last health-probe / forward outcome.
-    healthy: AtomicBool,
     /// Requests routed to this shard (attempts, including retries' firsts).
     pub routed: Counter,
     /// Forward attempts that failed once and were resent on a fresh
@@ -256,16 +254,10 @@ impl ShardState {
     fn new(addr: String) -> ShardState {
         ShardState {
             addr,
-            healthy: AtomicBool::new(true),
             routed: Counter::register("router.shards.routed"),
             retried: Counter::register("router.shards.retried"),
             failed: Counter::register("router.shards.failed"),
         }
-    }
-
-    /// Whether the last contact with this shard succeeded.
-    pub fn is_healthy(&self) -> bool {
-        self.healthy.load(Ordering::Acquire)
     }
 }
 
@@ -593,7 +585,6 @@ fn forward(
                 Err(e) => {
                     pool.remove(&shard_idx);
                     shard.failed.incr();
-                    shard.healthy.store(false, Ordering::Release);
                     shared.metrics.record_rejected(CODE_SHUTTING_DOWN);
                     return Err(Response::fail(
                         request.id.clone(),
@@ -604,7 +595,6 @@ fn forward(
             }
         }
     };
-    shard.healthy.store(true, Ordering::Release);
     // Record the router-side latency under the request's own command name
     // so fleet SLOs are measured where the client sees them.
     match Response::decode(&bytes) {
@@ -622,11 +612,9 @@ fn forward(
 fn probe_all(shared: &Arc<RouterShared>) {
     for shard in &shared.shards {
         shared.health_probes.incr();
-        let healthy = probe_status(&shard.addr, Duration::from_millis(2_000)).is_ok();
-        if !healthy {
+        if probe_status(&shard.addr, Duration::from_millis(2_000)).is_err() {
             shared.health_failures.incr();
         }
-        shard.healthy.store(healthy, Ordering::Release);
     }
 }
 
@@ -677,11 +665,7 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
     let statuses: Vec<Option<Json>> = shared
         .shards
         .iter()
-        .map(|shard| {
-            let status = probe_status(&shard.addr, Duration::from_millis(5_000)).ok();
-            shard.healthy.store(status.is_some(), Ordering::Release);
-            status
-        })
+        .map(|shard| probe_status(&shard.addr, Duration::from_millis(5_000)).ok())
         .collect();
     let healthy = statuses.iter().filter(|s| s.is_some()).count();
 

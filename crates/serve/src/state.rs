@@ -310,7 +310,7 @@ impl DeviceState {
         }
     }
 
-    /// Spills caches that accumulated at least [`SPILL_EVERY`] new
+    /// Spills caches that accumulated at least `SPILL_EVERY` new
     /// entries since their last spill. Returns new entries persisted.
     pub fn spill_tick(&self) -> usize {
         self.spill(false)

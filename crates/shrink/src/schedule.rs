@@ -80,11 +80,6 @@ impl ProgressiveShrinking {
         ProgressiveShrinking { config }
     }
 
-    /// Creates an engine with the paper's default schedule.
-    pub fn paper_default() -> Self {
-        Self::new(ShrinkConfig::default())
-    }
-
     /// Runs the schedule. After each completed stage, `on_stage_complete`
     /// is invoked with the stage index and the current space — the paper
     /// fine-tunes the supernet inside this hook (15 epochs at reduced

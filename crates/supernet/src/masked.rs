@@ -19,12 +19,6 @@ pub fn mask_channels(t: &mut Tensor, keep: usize) {
     }
 }
 
-/// Number of nonzero-allowed channels after masking (identity helper used
-/// in tests and diagnostics).
-pub fn masked_width(total: usize, keep: usize) -> usize {
-    keep.min(total)
-}
-
 /// The skip operator for stride-2 slots: 2×2 average pooling followed by a
 /// free channel adaptation (zero-padding up or truncation down to
 /// `c_out`). Parameter-free, so a "skip" genuinely costs nothing at the

@@ -39,12 +39,6 @@ impl TrainedAccuracy {
             eval_batches,
         }
     }
-
-    /// Consumes the oracle and returns the trainer (e.g. to fine-tune
-    /// between shrinking stages).
-    pub fn into_trainer(self) -> SupernetTrainer {
-        self.trainer.into_inner()
-    }
 }
 
 impl AccuracyModel for TrainedAccuracy {

@@ -191,11 +191,6 @@ impl SupernetTrainer {
         }
     }
 
-    /// Consumes the trainer, returning the trained supernet.
-    pub fn into_supernet(self) -> Supernet {
-        self.net
-    }
-
     /// Per-step training records so far.
     pub fn history(&self) -> &[StepRecord] {
         &self.history

@@ -1,5 +1,6 @@
 //! 2-D convolution forward and backward kernels (dense and depthwise)
-//! built on [`crate::im2col`] and [`crate::matmul`].
+//! built on [`crate::im2col`] and the GEMM entry points in
+//! [`crate::kernels`].
 //!
 //! Weights are stored as `[c_out, c_in / groups, k, k]` tensors. Only two
 //! groupings exist: dense (`groups == 1`) and depthwise
@@ -30,7 +31,7 @@
 //! one direct-kernel register tile (`oh·ow < 8`) a per-image product would
 //! run entirely in the kernel's scalar remainder loop, so the forward
 //! `W·X` and the input gradient `Wᵀ·dOut` fold the batch into the GEMM's
-//! columns instead ([`folded_product`]), bit-identically ([`folds`] gives
+//! columns instead (`folded_product`), bit-identically (`folds` gives
 //! the argument and its limit). The weight gradient stays per image:
 //! folding its summation axis would change the addition order.
 //!
@@ -45,8 +46,7 @@
 //! exactly.
 
 use crate::im2col::{col2im, im2col, ConvGeom};
-use crate::kernels::{depthwise, direct, gemm_pinned, GemmTags, Op};
-use crate::matmul::{matmul_a_bt, matmul_at_b_tagged};
+use crate::kernels::{depthwise, direct, gemm, gemm_pinned, GemmTags, Op};
 use crate::scratch::with_scratch;
 use crate::{Shape4, Tensor, TensorError};
 
@@ -443,16 +443,28 @@ pub fn conv2d_backward(
             // input directly and dIn is written straight into its zeroed
             // slice (bit-identical to staging through dcol).
             // dW += dOut (c_out × cols) · inᵀ (cols × krows)
-            matmul_a_bt(dout, image, &mut gw, params.c_out, cols, krows);
+            gemm(
+                Op::ABt,
+                dout,
+                image,
+                &mut gw,
+                params.c_out,
+                cols,
+                krows,
+                true,
+                GemmTags::default(),
+            );
             if !fold_din {
                 // dIn += Wᵀ (krows × c_out) · dOut (c_out × cols)
-                matmul_at_b_tagged(
+                gemm(
+                    Op::AtB,
                     weight_data,
                     dout,
                     gin_image,
-                    params.c_out,
                     krows,
+                    params.c_out,
                     cols,
+                    true,
                     tags,
                 );
             }
@@ -462,10 +474,30 @@ pub fn conv2d_backward(
             with_scratch(krows * cols, |dcol| {
                 // dW += dOut (c_out × cols) · colᵀ (cols × krows)
                 im2col(image, &geom, col);
-                matmul_a_bt(dout, col, &mut gw, params.c_out, cols, krows);
+                gemm(
+                    Op::ABt,
+                    dout,
+                    col,
+                    &mut gw,
+                    params.c_out,
+                    cols,
+                    krows,
+                    true,
+                    GemmTags::default(),
+                );
                 // dCol = Wᵀ (krows × c_out) · dOut (c_out × cols)
                 dcol.fill(0.0);
-                matmul_at_b_tagged(weight_data, dout, dcol, params.c_out, krows, cols, tags);
+                gemm(
+                    Op::AtB,
+                    weight_data,
+                    dout,
+                    dcol,
+                    krows,
+                    params.c_out,
+                    cols,
+                    true,
+                    tags,
+                );
                 col2im(dcol, &geom, gin_image);
             });
         });
@@ -595,7 +627,7 @@ mod tests {
 
     /// The per-channel route depthwise convolutions took before the
     /// direct kernels: one im2col + `1×k²×cols` GEMM per channel forward,
-    /// `matmul_a_bt` for dW and `matmul_at_b` + `col2im` for dIn, with
+    /// an `ABt` GEMM for dW and an `AtB` GEMM + `col2im` for dIn, with
     /// per-image dW partials merged in batch order.
     fn staged_depthwise(
         x: &Tensor,
@@ -603,7 +635,6 @@ mod tests {
         dy: &Tensor,
         p: &Conv2dParams,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        use crate::matmul::{matmul_a_bt, matmul_accumulate, matmul_at_b};
         let s = x.shape();
         let geom = p.geom(s.h, s.w);
         let (in_plane, cols, taps) = (s.h * s.w, geom.col_cols(), geom.col_rows());
@@ -619,12 +650,42 @@ mod tests {
                 let yi = (n * p.c_out + c) * cols;
                 let wc = &w.data()[c * taps..(c + 1) * taps];
                 im2col(&x.data()[xi..xi + in_plane], &geom, &mut col);
-                matmul_accumulate(wc, &col, &mut y[yi..yi + cols], 1, taps, cols);
+                gemm(
+                    Op::Ab,
+                    wc,
+                    &col,
+                    &mut y[yi..yi + cols],
+                    1,
+                    taps,
+                    cols,
+                    true,
+                    GemmTags::default(),
+                );
                 let dout = &dy.data()[yi..yi + cols];
                 let pw = &mut partial[c * taps..(c + 1) * taps];
-                matmul_a_bt(dout, &col, pw, 1, cols, taps);
+                gemm(
+                    Op::ABt,
+                    dout,
+                    &col,
+                    pw,
+                    1,
+                    cols,
+                    taps,
+                    true,
+                    GemmTags::default(),
+                );
                 dcol.fill(0.0);
-                matmul_at_b(wc, dout, &mut dcol, 1, taps, cols);
+                gemm(
+                    Op::AtB,
+                    wc,
+                    dout,
+                    &mut dcol,
+                    taps,
+                    1,
+                    cols,
+                    true,
+                    GemmTags::default(),
+                );
                 col2im(&dcol, &geom, &mut din[xi..xi + in_plane]);
             }
             for (acc, v) in dw.iter_mut().zip(&partial) {
@@ -840,7 +901,6 @@ mod tests {
         p: &Conv2dParams,
         reference: Option<(usize, usize, usize)>,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        use crate::matmul::{matmul_accumulate, matmul_at_b};
         let s = x.shape();
         let cols = s.h * s.w;
         let (xs, ys) = (p.c_in * cols, p.c_out * cols);
@@ -850,26 +910,43 @@ mod tests {
         for n in 0..s.n {
             let image = &x.data()[n * xs..(n + 1) * xs];
             let out = &mut y[n * ys..(n + 1) * ys];
-            match reference {
-                Some(r) => gemm_pinned(
-                    r,
-                    Op::Ab,
-                    w.data(),
-                    image,
-                    out,
-                    p.c_out,
-                    p.c_in,
-                    cols,
-                    true,
-                    GemmTags::default(),
-                ),
-                None => matmul_accumulate(w.data(), image, out, p.c_out, p.c_in, cols),
-            }
+            gemm_pinned(
+                reference.unwrap_or((p.c_out, p.c_in, cols)),
+                Op::Ab,
+                w.data(),
+                image,
+                out,
+                p.c_out,
+                p.c_in,
+                cols,
+                true,
+                GemmTags::default(),
+            );
             let dout = &dy.data()[n * ys..(n + 1) * ys];
             let gin = &mut din[n * xs..(n + 1) * xs];
-            matmul_at_b(w.data(), dout, gin, p.c_out, p.c_in, cols);
+            gemm(
+                Op::AtB,
+                w.data(),
+                dout,
+                gin,
+                p.c_in,
+                p.c_out,
+                cols,
+                true,
+                GemmTags::default(),
+            );
             let mut partial = vec![0.0f32; w.len()];
-            matmul_a_bt(dout, image, &mut partial, p.c_out, cols, p.c_in);
+            gemm(
+                Op::ABt,
+                dout,
+                image,
+                &mut partial,
+                p.c_out,
+                cols,
+                p.c_in,
+                true,
+                GemmTags::default(),
+            );
             for (acc, v) in dw.iter_mut().zip(&partial) {
                 *acc += v;
             }

@@ -8,8 +8,8 @@
 //! LLVM autovectorizes. They are also the historical reference the
 //! differential suite pins the packed kernels against.
 //!
-//! Semantics are accumulate-only (`c += …`); the public wrappers in
-//! [`crate::matmul`] zero `c` first when overwrite semantics are wanted.
+//! Semantics are accumulate-only (`c += …`); the entry points in
+//! [`crate::kernels`] zero `c` first when overwrite semantics are wanted.
 
 /// Rows of the register tile (rows of `a` per microkernel call).
 const MR: usize = 4;

@@ -2,8 +2,19 @@
 //! a per-shape kernel selector, deterministic multicore band decomposition,
 //! and a persistent packed-weight cache ([`cache`]).
 //!
-//! Every dense product in the crate ([`crate::matmul`], and through it the
-//! im2col convolution paths) funnels into [`gemm`], which
+//! Every dense product in the workspace goes through one of three entry
+//! points, all taking an [`Op`] that names the operands' stored layouts
+//! and [`GemmTags`] naming cached weight operands:
+//!
+//! - [`gemm`] is the auto-selected product (the conv weight gradient and
+//!   input gradient, every `Linear` product);
+//! - [`gemm_pinned`] selects from a *reference* shape instead of the
+//!   actual one (the conv forward and the compiled graph's channel-pruned
+//!   products; [`gemm`] is `gemm_pinned` at the problem's own shape);
+//! - [`gemm_ext`] takes the kernel variant and band worker count
+//!   explicitly — the A/B hook for tests and benches.
+//!
+//! The auto-selected path
 //!
 //! 1. classifies the problem shape ([`ShapeClass`]),
 //! 2. picks a kernel variant ([`Variant`]) — AVX2+FMA when the CPU has it,
@@ -59,10 +70,10 @@
 //! mul+add); DESIGN.md §11 states the contract the differential suite
 //! enforces.
 //!
-//! NEON seam: an aarch64 kernel implements [`Micro`] over the same packed
-//! layout and registers itself exactly like [`avx2`] does — add the
-//! module, give [`Variant`] a `Neon` arm, and teach [`select`] to probe
-//! it; nothing else changes.
+//! NEON seam: an aarch64 kernel implements the private `Micro` trait over
+//! the same packed layout and registers itself exactly like the `avx2`
+//! module does — add the module, give [`Variant`] a `Neon` arm, and teach
+//! the selector to probe it; nothing else changes.
 
 use std::sync::OnceLock;
 
@@ -221,7 +232,7 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// The variant [`select`] resolves to for large, packed-eligible shapes on
+/// The variant the selector resolves to for large, packed-eligible shapes on
 /// this host — i.e. what the hot paths actually run.
 pub fn selected_variant() -> Variant {
     env_override().unwrap_or({
@@ -270,17 +281,6 @@ pub fn classify(m: usize, k: usize, n: usize) -> ShapeClass {
 }
 
 impl ShapeClass {
-    /// Stable lowercase name (bench snapshot schema).
-    pub fn name(self) -> &'static str {
-        match self {
-            ShapeClass::Tiny => "tiny",
-            ShapeClass::Skinny => "skinny",
-            ShapeClass::Panel => "panel",
-            ShapeClass::Deep => "deep",
-            ShapeClass::Square => "square",
-        }
-    }
-
     /// MAC count below which the class stays single-threaded. The values
     /// were tuned when the pool spawned fresh scoped threads per call
     /// (tens of µs); dispatching to the long-lived pool is cheaper, but
@@ -300,21 +300,19 @@ impl ShapeClass {
 /// Cache-blocking parameters for the packed loop nest.
 ///
 /// `kc` bounds the packed k-depth (`a`-panel rows resident in L1 across
-/// the tile), `mc` bounds the packed `a` block (≤ 64 panels so the
-/// zero-panel bitmask fits a `u64`), `nc` bounds the packed `b` block.
+/// the tile), `mc` bounds the packed `a` block (clamped by the driver to
+/// `64·MR`, so the zero-panel bitmask fits a `u64`), `nc` bounds the
+/// packed `b` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Blocking {
-    /// k-dimension cache block.
-    pub kc: usize,
-    /// m-dimension cache block (clamped to `64·MR` by the driver).
-    pub mc: usize,
-    /// n-dimension cache block.
-    pub nc: usize,
+struct Blocking {
+    kc: usize,
+    mc: usize,
+    nc: usize,
 }
 
 impl Blocking {
     /// Blocking tuned per shape class (see DESIGN.md §11 for rationale).
-    pub fn for_class(class: ShapeClass) -> Blocking {
+    fn for_class(class: ShapeClass) -> Blocking {
         match class {
             ShapeClass::Panel => Blocking {
                 kc: 256,
@@ -337,15 +335,11 @@ impl Blocking {
 
 /// A resolved kernel choice for one problem shape.
 #[derive(Debug, Clone, Copy)]
-pub struct Selection {
-    /// Kernel variant to execute.
-    pub variant: Variant,
-    /// Cache blocking for the packed driver (ignored by `Direct`).
-    pub blocking: Blocking,
-    /// The shape class that drove the choice.
-    pub class: ShapeClass,
+struct Selection {
+    variant: Variant,
+    blocking: Blocking,
     /// Row-band worker count the parallel driver will use (`1` = serial).
-    pub threads: usize,
+    threads: usize,
 }
 
 /// Resolves the band worker count for a packed-eligible shape: serial
@@ -369,21 +363,16 @@ fn auto_band_threads(class: ShapeClass, m: usize, k: usize, n: usize) -> usize {
 
 /// The kernel selector: shape class → variant + blocking + band worker
 /// count, with the `HSCONAS_KERNEL` / `HSCONAS_KERNEL_THREADS` overrides
-/// applied to packed-eligible shapes.
+/// applied to packed-eligible shapes. This is the one place the
+/// Tiny/Skinny → `Direct` rule and the band worker count are decided.
 ///
 /// Tiny and skinny problems always take the direct serial path — packing
 /// or forking them is a net loss under every variant — so the overrides
 /// steer the kernels that matter without pessimizing the long tail of
-/// small products.
-pub fn select(m: usize, k: usize, n: usize) -> Selection {
-    select_class(classify(m, k, n), m, k, n)
-}
-
-/// [`select`] for an already classified problem: the one place the
-/// Tiny/Skinny → `Direct` rule and the band worker count are decided.
-/// `class` may come from a different (reference) shape than `(m, k, n)`,
-/// which only feeds the band worker count ([`gemm_pinned`]).
-fn select_class(class: ShapeClass, m: usize, k: usize, n: usize) -> Selection {
+/// small products. `class` may come from a different (reference) shape
+/// than `(m, k, n)`, which only feeds the band worker count
+/// ([`gemm_pinned`]).
+fn select(class: ShapeClass, m: usize, k: usize, n: usize) -> Selection {
     let variant = match class {
         ShapeClass::Tiny | ShapeClass::Skinny => Variant::Direct,
         _ => selected_variant(),
@@ -396,7 +385,6 @@ fn select_class(class: ShapeClass, m: usize, k: usize, n: usize) -> Selection {
     Selection {
         variant,
         blocking: Blocking::for_class(class),
-        class,
         threads,
     }
 }
@@ -550,7 +538,11 @@ impl GemmTags {
 }
 
 /// `c (m×n) ⟵ a' · b'` (overwrite) or `c += a' · b'` (accumulate), with
-/// the kernel, blocking, and band worker count chosen by [`select`].
+/// the kernel, blocking, and band worker count chosen from `(m, k, n)`:
+/// [`gemm_pinned`] at the problem's own shape. Operands carrying a tag
+/// read their packed panels from the persistent weight cache; results are
+/// bit-identical with tags present or absent (cached panels hold the same
+/// bytes the per-call packing produces).
 ///
 /// # Panics
 ///
@@ -565,118 +557,17 @@ pub fn gemm(
     k: usize,
     n: usize,
     accumulate: bool,
-) {
-    gemm_tagged(op, a, b, c, m, k, n, accumulate, GemmTags::default());
-}
-
-/// [`gemm`] with operand cache tags: tagged operands read their packed
-/// panels from the persistent weight cache. Results are bit-identical to
-/// the untagged call (cached panels hold the same bytes the per-call
-/// packing produces).
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the dimensions for `op`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tagged(
-    op: Op,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
     tags: GemmTags,
 ) {
-    let sel = select(m, k, n);
-    gemm_ext(
-        sel.variant,
-        sel.threads,
-        op,
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        accumulate,
-        tags,
-    );
+    gemm_pinned((m, k, n), op, a, b, c, m, k, n, accumulate, tags);
 }
 
-/// [`gemm`] with an explicit kernel variant (band worker count still
-/// resolved by the auto policy) — the A/B hook the differential suite and
-/// criterion benches are built on. An unavailable variant (AVX2 on a
-/// non-AVX2 host) falls back to `Scalar`.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the dimensions for `op`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with(
-    variant: Variant,
-    op: Op,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
-    gemm_ext(
-        variant,
-        0,
-        op,
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        accumulate,
-        GemmTags::default(),
-    );
-}
-
-/// [`gemm_with`] with an explicit band worker count (`0` = auto policy,
-/// `1` = serial, `t` = up to `t` row bands) — the thread-scaling A/B
-/// hook. Results are bit-identical across worker counts.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the dimensions for `op`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with_threads(
-    variant: Variant,
-    threads: usize,
-    op: Op,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
-    gemm_ext(
-        variant,
-        threads,
-        op,
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        accumulate,
-        GemmTags::default(),
-    );
-}
-
-/// The fully explicit entry point: variant, band worker count (`0` =
-/// auto), and operand cache tags. Everything above delegates here.
+/// [`gemm`] with an explicit kernel variant and band worker count (`0` =
+/// auto policy, `1` = serial, `t` = up to `t` row bands) — the A/B hook
+/// the differential suite and criterion benches are built on. Blocking
+/// still follows the shape class. An unavailable variant (AVX2 on a
+/// non-AVX2 host) falls back to `Scalar`. Results are bit-identical across
+/// worker counts.
 ///
 /// # Panics
 ///
@@ -717,7 +608,7 @@ pub fn gemm_ext(
     );
 }
 
-/// [`gemm_tagged`] with variant and blocking derived from a *reference*
+/// [`gemm`] with variant and blocking derived from a *reference*
 /// problem shape instead of the actual one.
 ///
 /// The graph compiler's channel-mask specialization physically removes
@@ -750,7 +641,7 @@ pub fn gemm_pinned(
     tags: GemmTags,
 ) {
     let (rm, rk, rn) = ref_mkn;
-    let sel = select_class(classify(rm, rk, rn), m, k, n);
+    let sel = select(classify(rm, rk, rn), m, k, n);
     gemm_resolved(
         sel.variant,
         sel.blocking,
@@ -1077,12 +968,56 @@ mod tests {
         (0..len).map(|_| rng.next_normal() as f32).collect()
     }
 
+    /// Untagged [`gemm_ext`] at `(m, k, n)`.
+    #[allow(clippy::too_many_arguments)]
+    fn ext(
+        variant: Variant,
+        threads: usize,
+        op: Op,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        (m, k, n): (usize, usize, usize),
+        accumulate: bool,
+    ) {
+        gemm_ext(
+            variant,
+            threads,
+            op,
+            a,
+            b,
+            c,
+            m,
+            k,
+            n,
+            accumulate,
+            GemmTags::default(),
+        );
+    }
+
+    /// Untagged [`gemm`] — the auto-selected front door — at `(m, k, n)`.
+    fn auto(op: Op, a: &[f32], b: &[f32], c: &mut [f32], (m, k, n): (usize, usize, usize)) {
+        gemm(op, a, b, c, m, k, n, false, GemmTags::default());
+    }
+
+    /// The selector's choice at the problem's own shape.
+    fn select_at(m: usize, k: usize, n: usize) -> Selection {
+        select(classify(m, k, n), m, k, n)
+    }
+
+    fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+        }
+    }
+
     fn check(variant: Variant, op: Op, m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = SmallRng::new(seed);
         let a = rand_vec(op.a_len(m, k), &mut rng);
         let b = rand_vec(op.b_len(k, n), &mut rng);
         let mut c = vec![0.0; m * n];
-        gemm_with(variant, op, &a, &b, &mut c, m, k, n, false);
+        ext(variant, 0, op, &a, &b, &mut c, (m, k, n), false);
         let want = naive(op, &a, &b, m, k, n);
         for (i, (x, y)) in c.iter().zip(&want).enumerate() {
             let tol = 1e-4 * (1.0 + y.abs()) * (1.0 + k as f32 / 256.0);
@@ -1140,13 +1075,28 @@ mod tests {
         let b = rand_vec(k * n, &mut rng);
         for variant in [Variant::Direct, Variant::Scalar, Variant::Avx2] {
             let mut c = vec![2.0; m * n];
-            gemm_with(variant, Op::Ab, &a, &b, &mut c, m, k, n, true);
+            ext(variant, 0, Op::Ab, &a, &b, &mut c, (m, k, n), true);
             let mut base = vec![0.0; m * n];
-            gemm_with(variant, Op::Ab, &a, &b, &mut base, m, k, n, false);
+            ext(variant, 0, Op::Ab, &a, &b, &mut base, (m, k, n), false);
             for (x, y) in c.iter().zip(&base) {
                 assert!((x - (y + 2.0)).abs() < 1e-5, "{x} vs {}", y + 2.0);
             }
         }
+        // The auto-selected front door adds onto `c` too: identity `a`.
+        let mut c = vec![1.0; 4];
+        let eye = [1.0, 0.0, 0.0, 1.0];
+        gemm(
+            Op::Ab,
+            &eye,
+            &[5.0, 6.0, 7.0, 8.0],
+            &mut c,
+            2,
+            2,
+            2,
+            true,
+            GemmTags::default(),
+        );
+        assert_eq!(c, vec![6.0, 7.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -1163,7 +1113,7 @@ mod tests {
         let want = naive(Op::Ab, &a, &b, m, k, n);
         for variant in [Variant::Scalar, Variant::Avx2] {
             let mut c = vec![0.0; m * n];
-            gemm_with(variant, Op::Ab, &a, &b, &mut c, m, k, n, false);
+            ext(variant, 0, Op::Ab, &a, &b, &mut c, (m, k, n), false);
             for r in [0usize, 1, 2, 3, 9, 17, 23] {
                 assert!(
                     c[r * n..(r + 1) * n].iter().all(|&v| v == 0.0),
@@ -1183,10 +1133,10 @@ mod tests {
                 let a = vec![1.0; m * k];
                 let b = vec![1.0; k * n];
                 let mut c = vec![7.0; m * n];
-                gemm_with(variant, Op::Ab, &a, &b, &mut c, m, k, n, false);
+                ext(variant, 0, Op::Ab, &a, &b, &mut c, (m, k, n), false);
                 assert!(c.iter().all(|&v| v == 0.0), "{variant:?} ({m},{k},{n})");
                 let mut c2 = vec![7.0; m * n];
-                gemm_with(variant, Op::Ab, &a, &b, &mut c2, m, k, n, true);
+                ext(variant, 0, Op::Ab, &a, &b, &mut c2, (m, k, n), true);
                 assert!(c2.iter().all(|&v| v == 7.0), "{variant:?} ({m},{k},{n})");
             }
         }
@@ -1201,10 +1151,15 @@ mod tests {
         for variant in [Variant::Direct, Variant::Scalar, Variant::Avx2] {
             let mut c1 = vec![0.0; m * n];
             let mut c2 = vec![0.0; m * n];
-            gemm_with(variant, Op::Ab, &a, &b, &mut c1, m, k, n, false);
-            gemm_with(variant, Op::Ab, &a, &b, &mut c2, m, k, n, false);
+            ext(variant, 0, Op::Ab, &a, &b, &mut c1, (m, k, n), false);
+            ext(variant, 0, Op::Ab, &a, &b, &mut c2, (m, k, n), false);
             assert_eq!(c1, c2, "{variant:?} not deterministic");
         }
+        let mut c1 = vec![0.0; m * n];
+        let mut c2 = vec![0.0; m * n];
+        auto(Op::Ab, &a, &b, &mut c1, (m, k, n));
+        auto(Op::Ab, &a, &b, &mut c2, (m, k, n));
+        assert_bits("gemm repeat", &c1, &c2);
     }
 
     #[test]
@@ -1223,10 +1178,10 @@ mod tests {
                         continue;
                     }
                     let mut serial = seed.clone();
-                    gemm_with_threads(variant, 1, op, &a, &b, &mut serial, m, k, n, true);
+                    ext(variant, 1, op, &a, &b, &mut serial, (m, k, n), true);
                     for threads in [2, 3, 8] {
                         let mut par = seed.clone();
-                        gemm_with_threads(variant, threads, op, &a, &b, &mut par, m, k, n, true);
+                        ext(variant, threads, op, &a, &b, &mut par, (m, k, n), true);
                         assert_eq!(
                             serial, par,
                             "{variant:?} {op:?} ({m},{k},{n}) threads={threads}"
@@ -1245,7 +1200,16 @@ mod tests {
         let a = rand_vec(m * k, &mut rng);
         let b = rand_vec(k * n, &mut rng);
         let mut plain = vec![0.0; m * n];
-        gemm_with(Variant::Scalar, Op::Ab, &a, &b, &mut plain, m, k, n, false);
+        ext(
+            Variant::Scalar,
+            0,
+            Op::Ab,
+            &a,
+            &b,
+            &mut plain,
+            (m, k, n),
+            false,
+        );
         // Unique synthetic ids so this test cannot collide with others.
         let tags = GemmTags {
             a: Some(PackTag {
@@ -1342,9 +1306,9 @@ mod tests {
 
     #[test]
     fn selector_routes_tiny_to_direct_and_large_to_simd() {
-        assert_eq!(select(2, 4, 8).variant, Variant::Direct);
-        assert_eq!(select(1, 1000, 1000).variant, Variant::Direct); // skinny m
-        let large = select(128, 256, 512);
+        assert_eq!(select_at(2, 4, 8).variant, Variant::Direct);
+        assert_eq!(select_at(1, 1000, 1000).variant, Variant::Direct); // skinny m
+        let large = select_at(128, 256, 512);
         // Large shapes take the packed path (exact variant is host + env
         // dependent, but never the direct loops).
         assert_ne!(large.variant, Variant::Direct);
@@ -1356,19 +1320,19 @@ mod tests {
     #[test]
     fn selector_threads_policy() {
         // Tiny/skinny shapes are always serial.
-        assert_eq!(select(2, 4, 8).threads, 1);
-        assert_eq!(select(1, 1000, 1000).threads, 1);
+        assert_eq!(select_at(2, 4, 8).threads, 1);
+        assert_eq!(select_at(1, 1000, 1000).threads, 1);
         // Below the per-class MAC threshold: serial.
-        assert_eq!(select(64, 64, 64).threads, 1);
+        assert_eq!(select_at(64, 64, 64).threads, 1);
         if std::env::var_os("HSCONAS_KERNEL_THREADS").is_some() {
             return; // pinned by the CI thread matrix; auto policy is moot
         }
         // Above the threshold the band count tracks the pool default,
         // capped so each band keeps at least MIN_BAND_ROWS rows.
         hsconas_par::set_default_threads(4);
-        let sel = select(512, 512, 512);
+        let sel = select_at(512, 512, 512);
         assert_eq!(sel.threads, 4);
-        let narrow = select(64, 1024, 1024); // 67M MACs but only 64 rows
+        let narrow = select_at(64, 1024, 1024); // 67M MACs but only 64 rows
         assert_eq!(narrow.threads, 64 / MIN_BAND_ROWS);
         hsconas_par::set_default_threads(0);
     }
@@ -1400,18 +1364,34 @@ mod tests {
         let a = vec![1.0; 64 * 64];
         let b = vec![1.0; 64 * 64];
         let mut c = vec![0.0; 64 * 64];
-        gemm_with(Variant::Scalar, Op::Ab, &a, &b, &mut c, 64, 64, 64, false);
-        gemm_with(Variant::Direct, Op::Ab, &a, &b, &mut c, 64, 64, 64, false);
-        gemm_with_threads(
+        ext(
+            Variant::Scalar,
+            0,
+            Op::Ab,
+            &a,
+            &b,
+            &mut c,
+            (64, 64, 64),
+            false,
+        );
+        ext(
+            Variant::Direct,
+            0,
+            Op::Ab,
+            &a,
+            &b,
+            &mut c,
+            (64, 64, 64),
+            false,
+        );
+        ext(
             Variant::Scalar,
             4,
             Op::Ab,
             &a,
             &b,
             &mut c,
-            64,
-            64,
-            64,
+            (64, 64, 64),
             false,
         );
         let after = dispatch_counts();
@@ -1429,6 +1409,179 @@ mod tests {
         check(Variant::Scalar, Op::Ab, 8, 300, 1100, 10);
         if avx2_available() {
             check(Variant::Avx2, Op::Ab, 8, 300, 1100, 11);
+        }
+    }
+
+    #[test]
+    fn gemm_matches_naive_across_tile_boundaries() {
+        // Sizes straddling the MR/NR/KC tile edges, including k > KC so
+        // multiple k-blocks accumulate into the same c tile, through the
+        // auto-selected route (direct for the tiny ones, packed above).
+        let mut rng = SmallRng::new(7);
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (2, 3, 4),
+            (5, 7, 3),
+            (8, 8, 8),
+            (13, 1, 17),
+            (4, 8, 8),
+            (5, 9, 9),
+            (3, 300, 7),
+            (6, 257, 24),
+            (9, 511, 17),
+            (12, 256, 8),
+            (40, 300, 96),
+        ] {
+            let a = rand_vec(m * k, &mut rng);
+            let b = rand_vec(k * n, &mut rng);
+            let mut c = vec![0.0; m * n];
+            auto(Op::Ab, &a, &b, &mut c, (m, k, n));
+            let want = naive(Op::Ab, &a, &b, m, k, n);
+            for (x, y) in c.iter().zip(&want) {
+                let tol = 1e-3 * (1.0 + y.abs());
+                assert!((x - y).abs() < tol, "({m},{k},{n}): {x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_transposed_ops_match_naive() {
+        // `AtB` stores `a` as `k×m`, `ABt` stores `b` as `n×k`; the naive
+        // reference reads the same storage transposed.
+        let mut rng = SmallRng::new(2);
+        for &(m, k, n) in &[
+            (4, 6, 5),
+            (9, 300, 17),
+            (4, 257, 8),
+            (13, 64, 31),
+            (7, 300, 9),
+            (5, 64, 16),
+            (1, 23, 1),
+            (48, 300, 40),
+        ] {
+            for op in [Op::AtB, Op::ABt] {
+                let a = rand_vec(op.a_len(m, k), &mut rng);
+                let b = rand_vec(op.b_len(k, n), &mut rng);
+                let mut c = vec![0.0; m * n];
+                auto(op, &a, &b, &mut c, (m, k, n));
+                let want = naive(op, &a, &b, m, k, n);
+                for (x, y) in c.iter().zip(&want) {
+                    let tol = 1e-3 * (1.0 + y.abs());
+                    assert!((x - y).abs() < tol, "{op:?} ({m},{k},{n}): {x} vs {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_masked_rows_stay_exactly_zero() {
+        // Masked-channel pattern: whole rows of `a` zero. The direct route
+        // (tiny shape) and the packed route's zero-panel skip must both
+        // leave those output rows exactly zero.
+        let mut rng = SmallRng::new(8);
+        for &(m, k, n) in &[(10, 40, 12), (30, 64, 48)] {
+            let mut a = rand_vec(m * k, &mut rng);
+            let masked: Vec<usize> = (0..m).filter(|r| r % 5 != 0 && r % 7 != 2).collect();
+            for &r in &masked {
+                a[r * k..(r + 1) * k].fill(0.0);
+            }
+            let b = rand_vec(k * n, &mut rng);
+            let mut c = vec![0.0; m * n];
+            auto(Op::Ab, &a, &b, &mut c, (m, k, n));
+            for &r in &masked {
+                assert!(
+                    c[r * n..(r + 1) * n].iter().all(|&v| v == 0.0),
+                    "({m},{k},{n}) row {r} not exactly zero"
+                );
+            }
+            let want = naive(Op::Ab, &a, &b, m, k, n);
+            for (x, y) in c.iter().zip(&want) {
+                assert!((x - y).abs() < 1e-3 * (1.0 + y.abs()));
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_overwrite_equals_accumulate_onto_zeroed_c() {
+        // Overwrite must be bit-identical to accumulating onto a zeroed
+        // output — same kernel, same accumulation order.
+        let mut rng = SmallRng::new(12);
+        let (m, k, n) = (40, 100, 96);
+        for op in [Op::Ab, Op::AtB, Op::ABt] {
+            let a = rand_vec(op.a_len(m, k), &mut rng);
+            let b = rand_vec(op.b_len(k, n), &mut rng);
+            let mut c1 = vec![7.0; m * n];
+            auto(op, &a, &b, &mut c1, (m, k, n));
+            let mut c2 = vec![0.0; m * n];
+            gemm(op, &a, &b, &mut c2, m, k, n, true, GemmTags::default());
+            assert_bits(&format!("{op:?}"), &c1, &c2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn gemm_wrong_length_panics() {
+        let mut c = vec![0.0; 4];
+        auto(Op::Ab, &[1.0; 3], &[1.0; 4], &mut c, (2, 2, 2));
+    }
+
+    #[test]
+    fn gemm_is_gemm_pinned_at_its_own_shape() {
+        // `gemm` must resolve exactly as `gemm_pinned` at the problem's own
+        // shape, and as the explicit route the class implies (direct for
+        // tiny and skinny shapes, the host's packed variant otherwise, auto
+        // band count): one shape per class, every op, both write modes.
+        let mut rng = SmallRng::new(21);
+        for &((m, k, n), class) in &[
+            ((5, 9, 17), ShapeClass::Tiny),
+            ((2, 300, 200), ShapeClass::Skinny),
+            ((32, 144, 576), ShapeClass::Panel),
+            ((20, 600, 40), ShapeClass::Deep),
+            ((40, 100, 96), ShapeClass::Square),
+        ] {
+            assert_eq!(classify(m, k, n), class);
+            let variant = match class {
+                ShapeClass::Tiny | ShapeClass::Skinny => Variant::Direct,
+                _ => selected_variant(),
+            };
+            for op in [Op::Ab, Op::AtB, Op::ABt] {
+                let a = rand_vec(op.a_len(m, k), &mut rng);
+                let b = rand_vec(op.b_len(k, n), &mut rng);
+                let seed = rand_vec(m * n, &mut rng);
+                for accumulate in [false, true] {
+                    let what = format!("{class:?} {op:?} accumulate={accumulate}");
+                    let mut front = seed.clone();
+                    gemm(
+                        op,
+                        &a,
+                        &b,
+                        &mut front,
+                        m,
+                        k,
+                        n,
+                        accumulate,
+                        GemmTags::default(),
+                    );
+                    let mut pinned = seed.clone();
+                    let tags = GemmTags::default();
+                    gemm_pinned(
+                        (m, k, n),
+                        op,
+                        &a,
+                        &b,
+                        &mut pinned,
+                        m,
+                        k,
+                        n,
+                        accumulate,
+                        tags,
+                    );
+                    assert_bits(&what, &front, &pinned);
+                    let mut explicit = seed.clone();
+                    ext(variant, 0, op, &a, &b, &mut explicit, (m, k, n), accumulate);
+                    assert_bits(&what, &front, &explicit);
+                }
+            }
         }
     }
 }

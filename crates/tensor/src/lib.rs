@@ -38,7 +38,6 @@ pub mod arena;
 pub mod conv;
 pub mod im2col;
 pub mod kernels;
-pub mod matmul;
 pub mod pool;
 pub mod rng;
 pub mod scratch;

@@ -1,4 +1,4 @@
-//! Pooling kernels: global average pooling and square average/max pooling,
+//! Pooling kernels: global average pooling and square average pooling,
 //! each with its backward pass.
 
 use crate::{Shape4, Tensor, TensorError};
@@ -138,75 +138,6 @@ pub fn avg_pool_backward(
     Ok(grad_in)
 }
 
-/// Max pooling with a square `kernel`, `stride`, and zero `pad`. Returns the
-/// pooled tensor plus the argmax indices needed by the backward pass.
-pub fn max_pool(input: &Tensor, kernel: usize, stride: usize, pad: usize) -> (Tensor, Vec<usize>) {
-    let s = input.shape();
-    let oh = (s.h + 2 * pad).saturating_sub(kernel) / stride + 1;
-    let ow = (s.w + 2 * pad).saturating_sub(kernel) / stride + 1;
-    let mut out = Tensor::zeros([s.n, s.c, oh, ow]);
-    let mut arg = vec![usize::MAX; out.len()];
-    let mut oidx = 0;
-    for n in 0..s.n {
-        for c in 0..s.c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = usize::MAX;
-                    for ky in 0..kernel {
-                        for kx in 0..kernel {
-                            let iy = (oy * stride + ky) as isize - pad as isize;
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if iy >= 0 && ix >= 0 && iy < s.h as isize && ix < s.w as isize {
-                                let v = input.at(n, c, iy as usize, ix as usize);
-                                if v > best {
-                                    best = v;
-                                    best_idx = s.index(n, c, iy as usize, ix as usize);
-                                }
-                            }
-                        }
-                    }
-                    // Window entirely in padding → output 0 with no argmax.
-                    if best_idx == usize::MAX {
-                        best = 0.0;
-                    }
-                    out.data_mut()[oidx] = best;
-                    arg[oidx] = best_idx;
-                    oidx += 1;
-                }
-            }
-        }
-    }
-    (out, arg)
-}
-
-/// Backward pass of [`max_pool`]: routes each output gradient to the argmax
-/// input cell recorded during the forward pass.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `grad_out.len() != argmax.len()`.
-pub fn max_pool_backward(
-    input_shape: Shape4,
-    grad_out: &Tensor,
-    argmax: &[usize],
-) -> Result<Tensor, TensorError> {
-    if grad_out.len() != argmax.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "max_pool_backward",
-            expected: vec![argmax.len()],
-            actual: vec![grad_out.len()],
-        });
-    }
-    let mut grad_in = Tensor::zeros(input_shape);
-    for (g, &idx) in grad_out.data().iter().zip(argmax) {
-        if idx != usize::MAX {
-            grad_in.data_mut()[idx] += g;
-        }
-    }
-    Ok(grad_in)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,30 +182,5 @@ mod tests {
         let back = avg_pool_backward(x.shape(), &y, 3, 2, 1).unwrap();
         let rhs: f32 = x.data().iter().zip(back.data()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3);
-    }
-
-    #[test]
-    fn max_pool_known() {
-        let t = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 9.0, 5.0, 7.0]).unwrap();
-        let (p, arg) = max_pool(&t, 2, 2, 0);
-        assert_eq!(p.at(0, 0, 0, 0), 9.0);
-        assert_eq!(arg, vec![1]);
-    }
-
-    #[test]
-    fn max_pool_backward_routes_to_argmax() {
-        let t = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 9.0, 5.0, 7.0]).unwrap();
-        let (_, arg) = max_pool(&t, 2, 2, 0);
-        let g = Tensor::from_vec([1, 1, 1, 1], vec![2.5]).unwrap();
-        let back = max_pool_backward(t.shape(), &g, &arg).unwrap();
-        assert_eq!(back.data(), &[0.0, 2.5, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn max_pool_overlapping_windows() {
-        let t = Tensor::from_vec([1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
-        let (p, _) = max_pool(&t, 2, 1, 0);
-        assert_eq!(p.shape(), Shape4::new(1, 1, 2, 2));
-        assert_eq!(p.data(), &[5.0, 6.0, 8.0, 9.0]);
     }
 }

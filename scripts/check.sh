@@ -43,13 +43,21 @@ run_gate "clippy (telemetry off)" \
     -p hsconas-serve -p hsconas-graph \
     --all-targets --no-default-features -- -D warnings
 
+# Every intra-doc link in the hsconas-* crates must resolve to a public
+# item; a stale link to a deleted or private function fails here. The
+# vendored stand-ins are excluded.
+run_gate "rustdoc (warnings denied)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace \
+    --exclude rand --exclude serde --exclude serde_derive --exclude serde_json \
+    --exclude proptest --exclude parking_lot --exclude criterion
+
 run_gate "cargo test" \
     cargo test -q
 
 # The GEMM kernel layer must behave identically whichever variant the
 # runtime selector would pick: force the portable packed scalar kernel for
 # the differential suite (the suite itself still compares all available
-# variants via gemm_with, so AVX2 hosts get SIMD coverage too).
+# variants via gemm_ext, so AVX2 hosts get SIMD coverage too).
 run_gate "kernel differential (scalar forced)" \
     env HSCONAS_KERNEL=scalar cargo test -q -p hsconas --test kernel_differential
 

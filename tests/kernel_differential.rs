@@ -10,7 +10,7 @@
 //! Within a single variant the contract is stronger: repeat calls must be
 //! bit-identical (fixed blocking ⇒ fixed accumulation order).
 
-use hsconas_tensor::kernels::{gemm_with, Op, Variant};
+use hsconas_tensor::kernels::{gemm_ext, GemmTags, Op, Variant};
 use hsconas_tensor::rng::SmallRng;
 use proptest::prelude::*;
 
@@ -127,7 +127,7 @@ proptest! {
         let init = if accumulate { 0.5f32 } else { -7.0 };
         for v in variants() {
             let mut c = vec![init; m * n];
-            gemm_with(v, op, &a, &b, &mut c, m, k, n, accumulate);
+            gemm_ext(v, 0, op, &a, &b, &mut c, m, k, n, accumulate, GemmTags::default());
             for (i, (&got, &want)) in c.iter().zip(&reference).enumerate() {
                 let want = if accumulate { want + 0.5 } else { want };
                 let err = (f64::from(got) - want).abs();
@@ -152,10 +152,10 @@ proptest! {
     ) {
         let (a, b) = make_inputs(op, m, k, n, seed, 0);
         let mut anchor = vec![0.0f32; m * n];
-        gemm_with(Variant::Direct, op, &a, &b, &mut anchor, m, k, n, false);
+        gemm_ext(Variant::Direct, 0, op, &a, &b, &mut anchor, m, k, n, false, GemmTags::default());
         for v in variants() {
             let mut c = vec![0.0f32; m * n];
-            gemm_with(v, op, &a, &b, &mut c, m, k, n, false);
+            gemm_ext(v, 0, op, &a, &b, &mut c, m, k, n, false, GemmTags::default());
             for (i, (&got, &want)) in c.iter().zip(&anchor).enumerate() {
                 let err = (f64::from(got) - f64::from(want)).abs();
                 prop_assert!(
@@ -183,7 +183,7 @@ proptest! {
         let (a, b) = make_inputs(op, m, k, n, seed, mask_rows);
         for v in variants() {
             let mut c = vec![9.0f32; m * n];
-            gemm_with(v, op, &a, &b, &mut c, m, k, n, false);
+            gemm_ext(v, 0, op, &a, &b, &mut c, m, k, n, false, GemmTags::default());
             for i in (m - mask_rows)..m {
                 for j in 0..n {
                     prop_assert_eq!(
@@ -210,8 +210,8 @@ proptest! {
         for v in variants() {
             let mut c1 = vec![0.0f32; m * n];
             let mut c2 = vec![0.0f32; m * n];
-            gemm_with(v, op, &a, &b, &mut c1, m, k, n, false);
-            gemm_with(v, op, &a, &b, &mut c2, m, k, n, false);
+            gemm_ext(v, 0, op, &a, &b, &mut c1, m, k, n, false, GemmTags::default());
+            gemm_ext(v, 0, op, &a, &b, &mut c2, m, k, n, false, GemmTags::default());
             let b1: Vec<u32> = c1.iter().map(|x| x.to_bits()).collect();
             let b2: Vec<u32> = c2.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(b1, b2, "{} {:?} {}x{}x{} not bit-identical", v.name(), op, m, k, n);
@@ -230,9 +230,33 @@ fn all_zero_a_is_exact() {
     let b: Vec<f32> = (0..k * n).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
     for v in variants() {
         let mut c = vec![3.25f32; m * n];
-        gemm_with(v, Op::Ab, &a, &b, &mut c, m, k, n, true);
+        gemm_ext(
+            v,
+            0,
+            Op::Ab,
+            &a,
+            &b,
+            &mut c,
+            m,
+            k,
+            n,
+            true,
+            GemmTags::default(),
+        );
         assert!(c.iter().all(|&x| x == 3.25), "{} polluted c", v.name());
-        gemm_with(v, Op::Ab, &a, &b, &mut c, m, k, n, false);
+        gemm_ext(
+            v,
+            0,
+            Op::Ab,
+            &a,
+            &b,
+            &mut c,
+            m,
+            k,
+            n,
+            false,
+            GemmTags::default(),
+        );
         assert!(c.iter().all(|&x| x == 0.0), "{} nonzero product", v.name());
     }
 }
@@ -244,7 +268,6 @@ fn all_zero_a_is_exact() {
 /// 8 on top, so the auto path is pinned too.
 #[test]
 fn thread_counts_are_bit_identical() {
-    use hsconas_tensor::kernels::gemm_with_threads;
     let (m, k, n) = (130, 96, 257);
     for op in [Op::Ab, Op::AtB, Op::ABt] {
         let (a, b) = make_inputs(op, m, k, n, 31, 0);
@@ -253,10 +276,34 @@ fn thread_counts_are_bit_identical() {
                 continue; // the direct loops never fork
             }
             let mut serial = vec![0.25f32; m * n];
-            gemm_with_threads(v, 1, op, &a, &b, &mut serial, m, k, n, true);
+            gemm_ext(
+                v,
+                1,
+                op,
+                &a,
+                &b,
+                &mut serial,
+                m,
+                k,
+                n,
+                true,
+                GemmTags::default(),
+            );
             for threads in [2, 3, 8] {
                 let mut par = vec![0.25f32; m * n];
-                gemm_with_threads(v, threads, op, &a, &b, &mut par, m, k, n, true);
+                gemm_ext(
+                    v,
+                    threads,
+                    op,
+                    &a,
+                    &b,
+                    &mut par,
+                    m,
+                    k,
+                    n,
+                    true,
+                    GemmTags::default(),
+                );
                 let sb: Vec<u32> = serial.iter().map(|x| x.to_bits()).collect();
                 let pb: Vec<u32> = par.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(
@@ -277,7 +324,6 @@ fn thread_counts_are_bit_identical() {
 #[test]
 fn pack_cache_round_trip_is_bit_identical_and_invalidates() {
     use hsconas_tensor::kernels::cache::{self, PackTag};
-    use hsconas_tensor::kernels::{gemm_ext, GemmTags};
 
     let (m, k, n) = (96, 64, 200);
     let (mut a, b) = make_inputs(Op::Ab, m, k, n, 57, 0);
