@@ -995,11 +995,6 @@ mod tests {
         );
     }
 
-    /// Untagged [`gemm`] — the auto-selected front door — at `(m, k, n)`.
-    fn auto(op: Op, a: &[f32], b: &[f32], c: &mut [f32], (m, k, n): (usize, usize, usize)) {
-        gemm(op, a, b, c, m, k, n, false, GemmTags::default());
-    }
-
     /// The selector's choice at the problem's own shape.
     fn select_at(m: usize, k: usize, n: usize) -> Selection {
         select(classify(m, k, n), m, k, n)
@@ -1082,21 +1077,6 @@ mod tests {
                 assert!((x - (y + 2.0)).abs() < 1e-5, "{x} vs {}", y + 2.0);
             }
         }
-        // The auto-selected front door adds onto `c` too: identity `a`.
-        let mut c = vec![1.0; 4];
-        let eye = [1.0, 0.0, 0.0, 1.0];
-        gemm(
-            Op::Ab,
-            &eye,
-            &[5.0, 6.0, 7.0, 8.0],
-            &mut c,
-            2,
-            2,
-            2,
-            true,
-            GemmTags::default(),
-        );
-        assert_eq!(c, vec![6.0, 7.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -1155,11 +1135,6 @@ mod tests {
             ext(variant, 0, Op::Ab, &a, &b, &mut c2, (m, k, n), false);
             assert_eq!(c1, c2, "{variant:?} not deterministic");
         }
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        auto(Op::Ab, &a, &b, &mut c1, (m, k, n));
-        auto(Op::Ab, &a, &b, &mut c2, (m, k, n));
-        assert_bits("gemm repeat", &c1, &c2);
     }
 
     #[test]
@@ -1410,119 +1385,6 @@ mod tests {
         if avx2_available() {
             check(Variant::Avx2, Op::Ab, 8, 300, 1100, 11);
         }
-    }
-
-    #[test]
-    fn gemm_matches_naive_across_tile_boundaries() {
-        // Sizes straddling the MR/NR/KC tile edges, including k > KC so
-        // multiple k-blocks accumulate into the same c tile, through the
-        // auto-selected route (direct for the tiny ones, packed above).
-        let mut rng = SmallRng::new(7);
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (2, 3, 4),
-            (5, 7, 3),
-            (8, 8, 8),
-            (13, 1, 17),
-            (4, 8, 8),
-            (5, 9, 9),
-            (3, 300, 7),
-            (6, 257, 24),
-            (9, 511, 17),
-            (12, 256, 8),
-            (40, 300, 96),
-        ] {
-            let a = rand_vec(m * k, &mut rng);
-            let b = rand_vec(k * n, &mut rng);
-            let mut c = vec![0.0; m * n];
-            auto(Op::Ab, &a, &b, &mut c, (m, k, n));
-            let want = naive(Op::Ab, &a, &b, m, k, n);
-            for (x, y) in c.iter().zip(&want) {
-                let tol = 1e-3 * (1.0 + y.abs());
-                assert!((x - y).abs() < tol, "({m},{k},{n}): {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_transposed_ops_match_naive() {
-        // `AtB` stores `a` as `k×m`, `ABt` stores `b` as `n×k`; the naive
-        // reference reads the same storage transposed.
-        let mut rng = SmallRng::new(2);
-        for &(m, k, n) in &[
-            (4, 6, 5),
-            (9, 300, 17),
-            (4, 257, 8),
-            (13, 64, 31),
-            (7, 300, 9),
-            (5, 64, 16),
-            (1, 23, 1),
-            (48, 300, 40),
-        ] {
-            for op in [Op::AtB, Op::ABt] {
-                let a = rand_vec(op.a_len(m, k), &mut rng);
-                let b = rand_vec(op.b_len(k, n), &mut rng);
-                let mut c = vec![0.0; m * n];
-                auto(op, &a, &b, &mut c, (m, k, n));
-                let want = naive(op, &a, &b, m, k, n);
-                for (x, y) in c.iter().zip(&want) {
-                    let tol = 1e-3 * (1.0 + y.abs());
-                    assert!((x - y).abs() < tol, "{op:?} ({m},{k},{n}): {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_masked_rows_stay_exactly_zero() {
-        // Masked-channel pattern: whole rows of `a` zero. The direct route
-        // (tiny shape) and the packed route's zero-panel skip must both
-        // leave those output rows exactly zero.
-        let mut rng = SmallRng::new(8);
-        for &(m, k, n) in &[(10, 40, 12), (30, 64, 48)] {
-            let mut a = rand_vec(m * k, &mut rng);
-            let masked: Vec<usize> = (0..m).filter(|r| r % 5 != 0 && r % 7 != 2).collect();
-            for &r in &masked {
-                a[r * k..(r + 1) * k].fill(0.0);
-            }
-            let b = rand_vec(k * n, &mut rng);
-            let mut c = vec![0.0; m * n];
-            auto(Op::Ab, &a, &b, &mut c, (m, k, n));
-            for &r in &masked {
-                assert!(
-                    c[r * n..(r + 1) * n].iter().all(|&v| v == 0.0),
-                    "({m},{k},{n}) row {r} not exactly zero"
-                );
-            }
-            let want = naive(Op::Ab, &a, &b, m, k, n);
-            for (x, y) in c.iter().zip(&want) {
-                assert!((x - y).abs() < 1e-3 * (1.0 + y.abs()));
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_overwrite_equals_accumulate_onto_zeroed_c() {
-        // Overwrite must be bit-identical to accumulating onto a zeroed
-        // output — same kernel, same accumulation order.
-        let mut rng = SmallRng::new(12);
-        let (m, k, n) = (40, 100, 96);
-        for op in [Op::Ab, Op::AtB, Op::ABt] {
-            let a = rand_vec(op.a_len(m, k), &mut rng);
-            let b = rand_vec(op.b_len(k, n), &mut rng);
-            let mut c1 = vec![7.0; m * n];
-            auto(op, &a, &b, &mut c1, (m, k, n));
-            let mut c2 = vec![0.0; m * n];
-            gemm(op, &a, &b, &mut c2, m, k, n, true, GemmTags::default());
-            assert_bits(&format!("{op:?}"), &c1, &c2);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong length")]
-    fn gemm_wrong_length_panics() {
-        let mut c = vec![0.0; 4];
-        auto(Op::Ab, &[1.0; 3], &[1.0; 4], &mut c, (2, 2, 2));
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub mod arena;
 pub mod conv;
 pub mod im2col;
 pub mod kernels;
+#[cfg(test)]
+mod matmul;
 pub mod pool;
 pub mod rng;
 pub mod scratch;
