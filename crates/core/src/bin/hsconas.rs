@@ -103,12 +103,8 @@ fn telemetry_from_args(args: &[String]) -> Option<hsconas_telemetry::FlushGuard>
 }
 
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
-    match name {
-        "gpu" => Ok(DeviceSpec::gpu_gv100()),
-        "cpu" => Ok(DeviceSpec::cpu_xeon_6136()),
-        "edge" => Ok(DeviceSpec::edge_xavier()),
-        other => Err(format!("unknown device '{other}' (use gpu|cpu|edge)")),
-    }
+    DeviceSpec::by_name(name)
+        .ok_or_else(|| format!("unknown device '{name}' (use gpu|cpu|edge or a full name)"))
 }
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
@@ -782,6 +778,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 fn cmd_measure(args: &[String]) -> Result<(), String> {
     let path = flag(args, "--model").ok_or("--model is required")?;
     let model: SavedModel = load_json(&path).map_err(|e| e.to_string())?;
+    let target = device_by_name(&model.target_device).map_err(|e| format!("{path}: {e}"))?;
     println!("model        : {}", model.name);
     println!("architecture : {}", model.arch);
     // Re-measure on all devices; infer the layout from the arch via both
@@ -805,10 +802,6 @@ fn cmd_measure(args: &[String]) -> Result<(), String> {
         );
     }
     // per-operator latency breakdown on the model's target device
-    let target = DeviceSpec::paper_devices()
-        .into_iter()
-        .find(|d| d.name == model.target_device)
-        .unwrap_or_else(DeviceSpec::edge_xavier);
     println!("\nper-operator breakdown on {} (us):", target.name);
     for op in &net.ops {
         println!("  {:<24} {:>10.1}", op.name, target.op_time_us(op));

@@ -26,7 +26,8 @@
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
-use hsconas_supernet::masked::{adapt_channels, mask_channels};
+use hsconas_nn::adapt_channels;
+use hsconas_supernet::masked::mask_channels;
 use hsconas_tensor::conv::conv2d_forward_pinned;
 use hsconas_tensor::kernels::{gemm_pinned, GemmTags, Op};
 use hsconas_tensor::pool::{avg_pool, global_avg_pool};

@@ -108,6 +108,17 @@ impl DeviceSpec {
         }
     }
 
+    /// Resolves a device by its short alias (`gpu`, `cpu`, `edge`) or its
+    /// full [`DeviceSpec::name`]; `None` for any other name.
+    pub fn by_name(name: &str) -> Option<DeviceSpec> {
+        match name {
+            "gpu" | "gpu-gv100" => Some(DeviceSpec::gpu_gv100()),
+            "cpu" | "cpu-xeon-6136" => Some(DeviceSpec::cpu_xeon_6136()),
+            "edge" | "edge-xavier" => Some(DeviceSpec::edge_xavier()),
+            _ => None,
+        }
+    }
+
     /// The paper's three devices in its reporting order (GPU, CPU, Edge).
     pub fn paper_devices() -> Vec<DeviceSpec> {
         vec![
@@ -205,6 +216,19 @@ mod tests {
                 ),
             ],
         )
+    }
+
+    #[test]
+    fn aliases_and_full_names_resolve() {
+        for (alias, spec) in ["gpu", "cpu", "edge"]
+            .iter()
+            .zip(DeviceSpec::paper_devices())
+        {
+            assert_eq!(DeviceSpec::by_name(alias).unwrap().name, spec.name);
+            assert_eq!(DeviceSpec::by_name(&spec.name).unwrap().name, spec.name);
+        }
+        assert!(DeviceSpec::by_name("tpu").is_none());
+        assert!(DeviceSpec::by_name("GPU").is_none());
     }
 
     #[test]

@@ -1,60 +1,35 @@
 //! Lowering search-space architectures to simulator network descriptions.
+//!
+//! A searchable layer's kernels come from its conv table
+//! ([`LayerGeom::convs`]), which the cost model sums as well. The table
+//! matches the training unit conv by conv; `hsconas-supernet`'s
+//! `conv_table_matches_built_operators` test checks that.
 
 use crate::{KernelDesc, NetworkDesc, OpDesc};
 use hsconas_space::{resolve_geometry, Arch, LayerGeom, NetworkSkeleton, OpKind, SpaceError};
 
-/// Lowers one searchable layer to its kernel launches.
-///
-/// Mirrors the block structure in `hsconas-nn`:
-/// ShuffleNetV2 units decompose into pointwise/depthwise convolutions
-/// (batch-norm and activation costs ride along inside the kernels' byte
-/// counts and are negligible in MACs); skip is free (stride 1) or a cheap
-/// pooling pass (stride 2).
+/// Lowers one searchable layer to its kernel launches: one
+/// [`KernelDesc::conv`] per entry of the layer's conv table
+/// ([`LayerGeom::convs`], left branch then right; batch-norm and activation
+/// costs ride along inside the kernels' byte counts and are negligible in
+/// MACs). A stride-1 skip launches nothing; a stride-2 skip is one cheap
+/// pooling pass.
 pub fn lower_layer(geom: &LayerGeom) -> OpDesc {
-    let h_in = geom.resolution_in;
-    let h_out = geom.resolution_out();
-    let (c_in, c_out) = (geom.c_in, geom.c_out);
     let name = format!("layer{}:{}", geom.index, geom.op);
-    let mut kernels = Vec::new();
-    match (geom.op, geom.stride) {
-        (OpKind::Skip, 1) => {}
-        (OpKind::Skip, _) => {
-            // 2×2 average pool ≈ one MAC per input element, pure memory op.
-            kernels.push(KernelDesc::dense(
-                (h_in * h_in * c_in) as f64,
-                4.0 * ((h_in * h_in * c_in) as f64 + (h_out * h_out * c_out) as f64),
-                0.0,
-            ));
-        }
-        (op, stride) => {
-            let b_in = (c_in / 2).max(1);
-            let b_out = (c_out / 2).max(1);
-            let k = op.kernel().expect("parametric op has a kernel");
-            if stride == 2 {
-                // Left branch: dw k stride-2 over c_in, then pw to b_out.
-                kernels.push(KernelDesc::conv(c_in, c_in, k, h_in, h_out, c_in));
-                kernels.push(KernelDesc::conv(c_in, b_out, 1, h_out, h_out, 1));
-            }
-            match op {
-                OpKind::Shuffle3 | OpKind::Shuffle5 | OpKind::Shuffle7 => {
-                    let r_in = if stride == 2 { c_in } else { b_in };
-                    kernels.push(KernelDesc::conv(r_in, b_out, 1, h_in, h_in, 1));
-                    kernels.push(KernelDesc::conv(b_out, b_out, k, h_in, h_out, b_out));
-                    kernels.push(KernelDesc::conv(b_out, b_out, 1, h_out, h_out, 1));
-                }
-                OpKind::Xception => {
-                    let r_in = if stride == 2 { c_in } else { b_in };
-                    kernels.push(KernelDesc::conv(r_in, r_in, 3, h_in, h_out, r_in));
-                    kernels.push(KernelDesc::conv(r_in, b_out, 1, h_out, h_out, 1));
-                    for _ in 0..2 {
-                        kernels.push(KernelDesc::conv(b_out, b_out, 3, h_out, h_out, b_out));
-                        kernels.push(KernelDesc::conv(b_out, b_out, 1, h_out, h_out, 1));
-                    }
-                }
-                OpKind::Skip => unreachable!("handled above"),
-            }
-        }
-    }
+    let kernels = if geom.op == OpKind::Skip && geom.stride != 1 {
+        let (h_in, h_out) = (geom.resolution_in, geom.resolution_out());
+        // 2×2 average pool ≈ one MAC per input element, pure memory op.
+        vec![KernelDesc::dense(
+            (h_in * h_in * geom.c_in) as f64,
+            4.0 * ((h_in * h_in * geom.c_in) as f64 + (h_out * h_out * geom.c_out) as f64),
+            0.0,
+        )]
+    } else {
+        geom.convs()
+            .iter()
+            .map(|c| KernelDesc::conv(c.c_in, c.c_out, c.kernel, c.res_in, c.res_out, c.groups))
+            .collect()
+    };
     OpDesc::new(name, kernels)
 }
 

@@ -26,9 +26,11 @@ pub enum ShuffleUnitKind {
 /// A ShuffleNetV2 unit.
 ///
 /// * `stride == 1`: channel split into two halves; the left half passes
-///   through, the right half goes through the branch; halves are
-///   concatenated and channel-shuffled. Requires `c_in == c_out` and both
-///   even.
+///   through, the right half goes through the branch (`c_in/2 → c_out/2`);
+///   halves are concatenated and channel-shuffled. Requires both widths
+///   even. When `c_in != c_out` (adjacent layers of a subnet picked
+///   different channel scales) the pass-through half is zero-padded or
+///   truncated to `c_out/2` by [`adapt_channels`], which is free.
 /// * `stride == 2`: no split; a left depthwise-downsample branch and the
 ///   right branch each produce `c_out / 2` channels that are concatenated
 ///   and shuffled, halving spatial size.
@@ -60,8 +62,8 @@ impl ShuffleUnit {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidConfig`] if the stride is not 1 or 2, the
-    /// channel counts are odd, or a stride-1 unit changes channel count.
+    /// Returns [`NnError::InvalidConfig`] if the stride is not 1 or 2 or
+    /// the channel counts are odd.
     pub fn new(
         kind: ShuffleUnitKind,
         c_in: usize,
@@ -79,15 +81,8 @@ impl ShuffleUnit {
         if !c_out.is_multiple_of(2) {
             return Err(invalid(format!("c_out must be even, got {c_out}")));
         }
-        if stride == 1 {
-            if c_in != c_out {
-                return Err(invalid(format!(
-                    "stride-1 unit must preserve channels ({c_in} != {c_out})"
-                )));
-            }
-            if !c_in.is_multiple_of(2) {
-                return Err(invalid(format!("c_in must be even, got {c_in}")));
-            }
+        if stride == 1 && !c_in.is_multiple_of(2) {
+            return Err(invalid(format!("c_in must be even, got {c_in}")));
         }
         let branch_out = c_out / 2;
         let branch_in = if stride == 1 { c_in / 2 } else { c_in };
@@ -175,7 +170,10 @@ impl ShuffleUnit {
 impl Layer for ShuffleUnit {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
         let out = if self.stride == 1 {
-            let (left, right_in) = input.split_channels(self.c_in / 2)?;
+            let (mut left, right_in) = input.split_channels(self.c_in / 2)?;
+            if self.c_in != self.c_out {
+                left = adapt_channels(&left, self.c_out / 2);
+            }
             let right_out = self.right.forward(&right_in, train)?;
             Tensor::concat_channels(&[&left, &right_out])?
         } else {
@@ -193,8 +191,11 @@ impl Layer for ShuffleUnit {
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let g = self.shuffle.backward(grad_out)?;
         let half = self.c_out / 2;
-        let (g_left, g_right) = g.split_channels(half)?;
+        let (mut g_left, g_right) = g.split_channels(half)?;
         if self.stride == 1 {
+            if self.c_in != self.c_out {
+                g_left = adapt_channels(&g_left, self.c_in / 2);
+            }
             let g_right_in = self.right.backward(&g_right)?;
             Ok(Tensor::concat_channels(&[&g_left, &g_right_in])?)
         } else {
@@ -240,6 +241,27 @@ impl Layer for ShuffleUnit {
             right,
         });
     }
+}
+
+/// Zero-pads or truncates the channel axis to `c_out` (free channel
+/// adaptation, used by the stride-1 unit's pass-through half when the
+/// width changes and by the stride-2 skip operator).
+pub fn adapt_channels(t: &Tensor, c_out: usize) -> Tensor {
+    let s = t.shape();
+    if s.c == c_out {
+        return t.clone();
+    }
+    let mut out = Tensor::zeros([s.n, c_out, s.h, s.w]);
+    let copy = s.c.min(c_out);
+    let plane = s.h * s.w;
+    for n in 0..s.n {
+        for c in 0..copy {
+            let src = (n * s.c + c) * plane;
+            let dst = (n * c_out + c) * plane;
+            out.data_mut()[dst..dst + plane].copy_from_slice(&t.data()[src..src + plane]);
+        }
+    }
+    out
 }
 
 /// An identity ("skip connection") operator, the fifth candidate in the
@@ -313,9 +335,28 @@ mod tests {
         let mut rng = SmallRng::new(3);
         let k = ShuffleUnitKind::Standard { kernel: 3 };
         assert!(ShuffleUnit::new(k, 8, 8, 3, &mut rng).is_err());
-        assert!(ShuffleUnit::new(k, 8, 10, 1, &mut rng).is_err());
+        assert!(ShuffleUnit::new(k, 8, 9, 1, &mut rng).is_err());
         assert!(ShuffleUnit::new(k, 7, 7, 1, &mut rng).is_err());
         assert!(ShuffleUnit::new(k, 8, 9, 2, &mut rng).is_err());
+    }
+
+    #[test]
+    fn adapted_unit_handles_width_changes() {
+        let mut rng = SmallRng::new(4);
+        // widen: 8 -> 12, shrink: 12 -> 6
+        for kind in [
+            ShuffleUnitKind::Standard { kernel: 3 },
+            ShuffleUnitKind::Xception,
+        ] {
+            for (c_in, c_out) in [(8usize, 12usize), (12, 6), (8, 8)] {
+                let mut unit = ShuffleUnit::new(kind, c_in, c_out, 1, &mut rng).unwrap();
+                let x = Tensor::randn([1, c_in, 4, 4], 1.0, &mut rng);
+                let y = unit.forward(&x, true).unwrap();
+                assert_eq!(y.shape().to_vec(), vec![1, c_out, 4, 4], "{kind:?}");
+                let g = unit.backward(&Tensor::full(y.shape(), 1.0)).unwrap();
+                assert_eq!(g.shape(), x.shape(), "{kind:?}");
+            }
+        }
     }
 
     #[test]

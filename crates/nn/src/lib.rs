@@ -43,7 +43,7 @@ pub mod shuffle;
 
 pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
-pub use blocks::{ShuffleUnit, ShuffleUnitKind, SkipConnection};
+pub use blocks::{adapt_channels, ShuffleUnit, ShuffleUnitKind, SkipConnection};
 pub use conv_layer::Conv2d;
 pub use error::NnError;
 pub use layer::{BnMode, Layer, LayerExport, ParamVisitor};

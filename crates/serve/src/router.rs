@@ -160,7 +160,7 @@ pub fn device_set_key(devices: &[String], target_ms: f64) -> u64 {
     let mut names: Vec<String> = devices
         .iter()
         .map(|d| {
-            crate::state::device_by_name(d)
+            hsconas_hwsim::DeviceSpec::by_name(d)
                 .map(|spec| spec.name)
                 .unwrap_or_else(|| d.clone())
         })
@@ -181,7 +181,7 @@ pub fn device_set_key(devices: &[String], target_ms: f64) -> u64 {
 /// answers the 404 (so error bytes match the single-daemon ones too).
 #[must_use]
 pub fn device_target_key(device: &str, target_ms: f64) -> u64 {
-    let canonical = crate::state::device_by_name(device).map(|spec| spec.name);
+    let canonical = hsconas_hwsim::DeviceSpec::by_name(device).map(|spec| spec.name);
     let name = canonical.as_deref().unwrap_or(device);
     let mut keyed = Vec::with_capacity(name.len() + 9);
     keyed.extend_from_slice(name.as_bytes());

@@ -188,16 +188,6 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Resolves a device name or alias to its spec.
-pub fn device_by_name(name: &str) -> Option<DeviceSpec> {
-    match name {
-        "gpu" | "gpu-gv100" => Some(DeviceSpec::gpu_gv100()),
-        "cpu" | "cpu-xeon-6136" => Some(DeviceSpec::cpu_xeon_6136()),
-        "edge" | "edge-xavier" => Some(DeviceSpec::edge_xavier()),
-        _ => None,
-    }
-}
-
 /// Everything needed to evaluate one batch consistently: the predictor
 /// generation the batch saw at admission to execution, and the memo cache
 /// shared by every request against that `(version, target)` pair.
@@ -510,7 +500,7 @@ fn load_snapshot(
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     let snapshot: PredictorSnapshot =
         serde_json::from_str(&text).map_err(|e| format!("parse failed: {e}"))?;
-    let device = device_by_name(device_name).ok_or_else(|| "unknown device".to_string())?;
+    let device = DeviceSpec::by_name(device_name).ok_or_else(|| "unknown device".to_string())?;
     LatencyPredictor::from_snapshot(device, space, snapshot).map_err(|e| e.to_string())
 }
 
@@ -731,7 +721,8 @@ impl WarmState {
     /// [`ServeError::UnknownDevice`] for names outside the model set;
     /// [`ServeError::Internal`] if calibration itself fails.
     pub fn device(&self, name: &str) -> Result<Arc<DeviceState>, ServeError> {
-        let spec = device_by_name(name).ok_or_else(|| ServeError::UnknownDevice(name.into()))?;
+        let spec =
+            DeviceSpec::by_name(name).ok_or_else(|| ServeError::UnknownDevice(name.into()))?;
         let canonical = spec.name.clone();
         let mut devices = lock(&self.devices);
         if let Some(state) = devices.get(&canonical) {
@@ -875,9 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn aliases_resolve_and_unknown_is_typed() {
-        assert_eq!(device_by_name("gpu").unwrap().name, "gpu-gv100");
-        assert_eq!(device_by_name("edge-xavier").unwrap().name, "edge-xavier");
+    fn unknown_device_is_typed() {
         let state = WarmState::new(ServeOptions::default());
         match state.device("tpu") {
             Err(ServeError::UnknownDevice(name)) => assert_eq!(name, "tpu"),

@@ -3,7 +3,10 @@
 //!
 //! These are exactly the metrics Fig. 2 of the paper shows to be *poor*
 //! latency predictors — the cost model exists both to reproduce that figure
-//! and to feed the accuracy surrogate's capacity estimate.
+//! and to feed the accuracy surrogate's capacity estimate. A searchable
+//! layer's cost is summed over its conv table ([`LayerGeom::convs`]), the
+//! same table the simulator lowers to kernels, so FLOPs and simulated
+//! latency always describe the same network.
 
 use crate::{resolve_geometry, Arch, LayerGeom, NetworkSkeleton, OpKind, SpaceError};
 use serde::{Deserialize, Serialize};
@@ -75,67 +78,22 @@ fn bn_cost(channels: usize, res: usize) -> LayerCost {
     }
 }
 
-/// Cost of one searchable layer with the given geometry.
+/// Cost of one searchable layer with the given geometry: each conv of
+/// [`LayerGeom::convs`] followed by its batch norm, in table order. A
+/// stride-2 skip costs its 2×2 average pool.
 pub fn layer_cost(geom: &LayerGeom) -> LayerCost {
-    let h_in = geom.resolution_in;
-    let h_out = geom.resolution_out();
-    let (c_in, c_out) = (geom.c_in, geom.c_out);
-    match (geom.op, geom.stride) {
-        (OpKind::Skip, 1) => LayerCost::ZERO,
-        (OpKind::Skip, _) => LayerCost {
+    if geom.op == OpKind::Skip && geom.stride != 1 {
+        let h_in = geom.resolution_in;
+        return LayerCost {
             // 2×2 average pool: one MAC-equivalent per input element.
-            flops: (h_in * h_in * c_in) as f64,
+            flops: (h_in * h_in * geom.c_in) as f64,
             params: 0.0,
-        },
-        (op, stride) => {
-            let b_in = (c_in / 2).max(1);
-            let b_out = (c_out / 2).max(1);
-            let k = op.kernel().expect("parametric op has a kernel");
-            let mut cost = LayerCost::ZERO;
-            if stride == 2 {
-                // Left branch: dw k (stride 2) on c_in, then pw to b_out.
-                cost = cost
-                    .add(conv_cost(c_in, c_in, k, h_out, c_in))
-                    .add(bn_cost(c_in, h_out))
-                    .add(conv_cost(c_in, b_out, 1, h_out, 1))
-                    .add(bn_cost(b_out, h_out));
-            }
-            match op {
-                OpKind::Shuffle3 | OpKind::Shuffle5 | OpKind::Shuffle7 => {
-                    let (r_in, pw1_res) = if stride == 2 {
-                        (c_in, h_in)
-                    } else {
-                        (b_in, h_in)
-                    };
-                    cost = cost
-                        .add(conv_cost(r_in, b_out, 1, pw1_res, 1))
-                        .add(bn_cost(b_out, pw1_res))
-                        .add(conv_cost(b_out, b_out, k, h_out, b_out))
-                        .add(bn_cost(b_out, h_out))
-                        .add(conv_cost(b_out, b_out, 1, h_out, 1))
-                        .add(bn_cost(b_out, h_out));
-                }
-                OpKind::Xception => {
-                    let r_in = if stride == 2 { c_in } else { b_in };
-                    // dw3(s) pw, then two more dw3 pw pairs at output res.
-                    cost = cost
-                        .add(conv_cost(r_in, r_in, 3, h_out, r_in))
-                        .add(bn_cost(r_in, h_out))
-                        .add(conv_cost(r_in, b_out, 1, h_out, 1))
-                        .add(bn_cost(b_out, h_out));
-                    for _ in 0..2 {
-                        cost = cost
-                            .add(conv_cost(b_out, b_out, 3, h_out, b_out))
-                            .add(bn_cost(b_out, h_out))
-                            .add(conv_cost(b_out, b_out, 1, h_out, 1))
-                            .add(bn_cost(b_out, h_out));
-                    }
-                }
-                OpKind::Skip => unreachable!("handled above"),
-            }
-            cost
-        }
+        };
     }
+    geom.convs().iter().fold(LayerCost::ZERO, |cost, c| {
+        cost.add(conv_cost(c.c_in, c.c_out, c.kernel, c.res_out, c.groups))
+            .add(bn_cost(c.c_out, c.res_out))
+    })
 }
 
 /// Full cost breakdown of `arch` within `skeleton`.

@@ -2,9 +2,16 @@
 //! [`NetworkSkeleton`] into concrete per-layer
 //! geometry (channel counts, resolutions, strides) — the common input of
 //! the cost model, the hardware simulator, and the supernet builder.
+//!
+//! [`LayerGeom::convs`] is the one statement of which convolutions a
+//! searchable layer runs. The cost model ([`crate::cost::layer_cost`]) and
+//! the simulator lowering (`hsconas_hwsim::lower_layer`) both read it, and
+//! a drift-guard test in `hsconas-supernet` holds it equal, conv by conv,
+//! to what the training unit (`hsconas_nn::ShuffleUnit`) builds.
 
 use crate::{Arch, NetworkSkeleton, OpKind, SpaceError};
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 
 /// Concrete geometry of one searchable layer after channel scaling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,6 +38,107 @@ impl LayerGeom {
         } else {
             self.resolution_in
         }
+    }
+
+    /// The layer's convolutions in execution order: a stride-2 unit's
+    /// left branch (depthwise `k` at stride 2, then pointwise to `c_out/2`),
+    /// then the right branch. The right branch maps `c_in/2 → c_out/2` at
+    /// stride 1 (the other half passes through, padded or truncated) and
+    /// `c_in → c_out/2` at stride 2. Every conv is followed by a batch norm
+    /// over its output. A skip has no convolutions; at stride 2 it is a
+    /// 2×2 average pool, which each consumer costs itself.
+    pub fn convs(&self) -> ConvTable {
+        let mut table = ConvTable {
+            convs: [LayerConv::default(); MAX_LAYER_CONVS],
+            len: 0,
+        };
+        let Some(k) = self.op.kernel() else {
+            return table;
+        };
+        let (s, h_in, h_out) = (self.stride, self.resolution_in, self.resolution_out());
+        let b_out = (self.c_out / 2).max(1);
+        let r_in = if s == 2 {
+            table.push(self.c_in, self.c_in, k, s, h_in, self.c_in);
+            table.push(self.c_in, b_out, 1, 1, h_out, 1);
+            self.c_in
+        } else {
+            (self.c_in / 2).max(1)
+        };
+        if self.op == OpKind::Xception {
+            table.push(r_in, r_in, 3, s, h_in, r_in);
+            table.push(r_in, b_out, 1, 1, h_out, 1);
+            for _ in 0..2 {
+                table.push(b_out, b_out, 3, 1, h_out, b_out);
+                table.push(b_out, b_out, 1, 1, h_out, 1);
+            }
+        } else {
+            table.push(r_in, b_out, 1, 1, h_in, 1);
+            table.push(b_out, b_out, k, s, h_in, b_out);
+            table.push(b_out, b_out, 1, 1, h_out, 1);
+        }
+        table
+    }
+}
+
+/// One convolution of a searchable layer (square kernel and planes).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LayerConv {
+    /// Input channels.
+    pub c_in: usize,
+    /// Output channels.
+    pub c_out: usize,
+    /// Kernel size.
+    pub kernel: usize,
+    /// Stride.
+    pub stride: usize,
+    /// Group count: 1 (dense) or `c_in` (depthwise).
+    pub groups: usize,
+    /// Input resolution.
+    pub res_in: usize,
+    /// Output resolution.
+    pub res_out: usize,
+}
+
+/// The most convolutions one layer runs: a stride-2 Xception unit's two
+/// left-branch convs plus its six right-branch convs.
+const MAX_LAYER_CONVS: usize = 8;
+
+/// A layer's convolutions ([`LayerGeom::convs`]), held inline so building
+/// the table allocates nothing; it derefs to a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct ConvTable {
+    convs: [LayerConv; MAX_LAYER_CONVS],
+    len: usize,
+}
+
+impl ConvTable {
+    fn push(
+        &mut self,
+        c_in: usize,
+        c_out: usize,
+        kernel: usize,
+        stride: usize,
+        res_in: usize,
+        groups: usize,
+    ) {
+        self.convs[self.len] = LayerConv {
+            c_in,
+            c_out,
+            kernel,
+            stride,
+            groups,
+            res_in,
+            res_out: res_in / stride,
+        };
+        self.len += 1;
+    }
+}
+
+impl Deref for ConvTable {
+    type Target = [LayerConv];
+
+    fn deref(&self) -> &[LayerConv] {
+        &self.convs[..self.len]
     }
 }
 

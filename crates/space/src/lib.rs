@@ -42,7 +42,7 @@ pub use analysis::{arch_distance, enumerate, population_diversity};
 pub use arch::{Arch, Gene};
 pub use cost::{ArchCost, LayerCost};
 pub use error::SpaceError;
-pub use geometry::{resolve_geometry, LayerGeom};
+pub use geometry::{resolve_geometry, ConvTable, LayerConv, LayerGeom};
 pub use ops::OpKind;
 pub use scale::ChannelScale;
 pub use skeleton::{ChannelLayout, NetworkSkeleton};

@@ -51,11 +51,11 @@ pub mod trainer;
 
 pub use error::SupernetError;
 pub use masked::DownsampleSkip;
-pub use mixed::MixedLayer;
+pub use mixed::{build_operator, MixedLayer};
 pub use model::Supernet;
 pub use oracle::TrainedAccuracy;
 pub use prefix::{PrefixCache, PrefixCacheStats, PrefixEntry};
-pub use subnet::{build_subnet, train_from_scratch, AdaptedShuffleUnit};
+pub use subnet::{build_subnet, train_from_scratch};
 pub use trainer::{
     StepRecord, SupernetTrainer, TrainCkptHook, TrainConfig, TrainCursor, TrainerCheckpoint,
 };

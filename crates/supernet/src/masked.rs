@@ -1,7 +1,7 @@
 //! Channel masking utilities: the `I^l × op^l(x)` mechanism of §III-B and
 //! the stride-2 skip operator.
 
-use hsconas_nn::{Layer, NnError, ParamVisitor};
+use hsconas_nn::{adapt_channels, Layer, NnError, ParamVisitor};
 use hsconas_tensor::pool::{avg_pool, avg_pool_backward};
 use hsconas_tensor::{Shape4, Tensor};
 
@@ -39,31 +39,6 @@ impl DownsampleSkip {
             cache_shape: None,
         }
     }
-
-    fn adapt_channels(t: &Tensor, c_out: usize) -> Tensor {
-        adapt_channels(t, c_out)
-    }
-}
-
-/// Zero-pads or truncates the channel axis to `c_out` (free channel
-/// adaptation, used by skip operators and the subnet materializer's
-/// pass-through branches).
-pub fn adapt_channels(t: &Tensor, c_out: usize) -> Tensor {
-    let s = t.shape();
-    if s.c == c_out {
-        return t.clone();
-    }
-    let mut out = Tensor::zeros([s.n, c_out, s.h, s.w]);
-    let copy = s.c.min(c_out);
-    let plane = s.h * s.w;
-    for n in 0..s.n {
-        for c in 0..copy {
-            let src = (n * s.c + c) * plane;
-            let dst = (n * c_out + c) * plane;
-            out.data_mut()[dst..dst + plane].copy_from_slice(&t.data()[src..src + plane]);
-        }
-    }
-    out
 }
 
 impl Layer for DownsampleSkip {
@@ -81,7 +56,7 @@ impl Layer for DownsampleSkip {
             self.cache_shape = Some(input.shape());
         }
         let pooled = avg_pool(input, 2, 2, 0);
-        Ok(Self::adapt_channels(&pooled, self.c_out))
+        Ok(adapt_channels(&pooled, self.c_out))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
@@ -89,7 +64,7 @@ impl Layer for DownsampleSkip {
             layer: "DownsampleSkip",
         })?;
         // invert the channel adaptation (truncate or pad the gradient)
-        let g = Self::adapt_channels(grad_out, self.c_in);
+        let g = adapt_channels(grad_out, self.c_in);
         Ok(avg_pool_backward(in_shape, &g, 2, 2, 0)?)
     }
 

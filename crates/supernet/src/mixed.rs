@@ -7,6 +7,35 @@ use hsconas_space::{Gene, OpKind};
 use hsconas_tensor::rng::SmallRng;
 use hsconas_tensor::Tensor;
 
+/// Builds candidate operator `op` for a slot of the given widths and
+/// stride — the one place an [`OpKind`] becomes a layer, shared by the
+/// supernet's [`MixedLayer`] and the standalone subnet builder. Parametric
+/// operators are [`ShuffleUnit`]s (weights drawn right branch first, then
+/// left); skip is the identity at stride 1 and [`DownsampleSkip`]
+/// otherwise.
+///
+/// # Errors
+///
+/// Returns [`SupernetError`] if the unit cannot be built for the given
+/// widths and stride (odd channel counts and similar).
+pub fn build_operator(
+    op: OpKind,
+    c_in: usize,
+    c_out: usize,
+    stride: usize,
+    rng: &mut SmallRng,
+) -> Result<Box<dyn Layer>, SupernetError> {
+    let kind = match op {
+        OpKind::Shuffle3 => ShuffleUnitKind::Standard { kernel: 3 },
+        OpKind::Shuffle5 => ShuffleUnitKind::Standard { kernel: 5 },
+        OpKind::Shuffle7 => ShuffleUnitKind::Standard { kernel: 7 },
+        OpKind::Xception => ShuffleUnitKind::Xception,
+        OpKind::Skip if stride == 1 => return Ok(Box::new(SkipConnection::new())),
+        OpKind::Skip => return Ok(Box::new(DownsampleSkip::new(c_in, c_out))),
+    };
+    Ok(Box::new(ShuffleUnit::new(kind, c_in, c_out, stride, rng)?))
+}
+
 /// One supernet layer: all five candidate operators built at the slot's
 /// maximum width, with single-path forward/backward selection and output
 /// channel masking per the sampled gene.
@@ -46,47 +75,10 @@ impl MixedLayer {
         stride: usize,
         rng: &mut SmallRng,
     ) -> Result<Self, SupernetError> {
-        let mut candidates: Vec<Box<dyn Layer>> = Vec::with_capacity(OpKind::ALL.len());
-        for op in OpKind::ALL {
-            let layer: Box<dyn Layer> = match op {
-                OpKind::Shuffle3 => Box::new(ShuffleUnit::new(
-                    ShuffleUnitKind::Standard { kernel: 3 },
-                    c_in,
-                    c_out,
-                    stride,
-                    rng,
-                )?),
-                OpKind::Shuffle5 => Box::new(ShuffleUnit::new(
-                    ShuffleUnitKind::Standard { kernel: 5 },
-                    c_in,
-                    c_out,
-                    stride,
-                    rng,
-                )?),
-                OpKind::Shuffle7 => Box::new(ShuffleUnit::new(
-                    ShuffleUnitKind::Standard { kernel: 7 },
-                    c_in,
-                    c_out,
-                    stride,
-                    rng,
-                )?),
-                OpKind::Xception => Box::new(ShuffleUnit::new(
-                    ShuffleUnitKind::Xception,
-                    c_in,
-                    c_out,
-                    stride,
-                    rng,
-                )?),
-                OpKind::Skip => {
-                    if stride == 1 {
-                        Box::new(SkipConnection::new())
-                    } else {
-                        Box::new(DownsampleSkip::new(c_in, c_out))
-                    }
-                }
-            };
-            candidates.push(layer);
-        }
+        let candidates = OpKind::ALL
+            .into_iter()
+            .map(|op| build_operator(op, c_in, c_out, stride, rng))
+            .collect::<Result<_, _>>()?;
         Ok(MixedLayer {
             index,
             stride,

@@ -4,159 +4,23 @@
 //!
 //! The paper trains its discovered HSCoNets "from scratch for fair
 //! comparisons" (§IV-A); this module provides exactly that path for the
-//! real-training substrate. The materialized network is a plain
-//! [`Sequential`], so it trains with the ordinary optimizer and has no
-//! supernet machinery attached.
+//! real-training substrate. Each searchable layer comes from
+//! [`build_operator`], the same routine that fills the supernet's slots, at
+//! the layer's resolved geometry: a stride-1 unit whose neighbours picked
+//! different scales (`c_in != c_out`) is an ordinary
+//! [`hsconas_nn::ShuffleUnit`] that pads or truncates its pass-through
+//! half. The materialized network is a plain [`Sequential`], so it trains
+//! with the ordinary optimizer and has no supernet machinery attached.
 
-use crate::masked::{adapt_channels, DownsampleSkip};
+use crate::mixed::build_operator;
 use crate::SupernetError;
 use hsconas_data::SyntheticDataset;
 use hsconas_nn::{
-    BatchNorm2d, ChannelShuffle, Conv2d, CosineSchedule, GlobalAvgPool, Layer, Linear, NnError,
-    ParamVisitor, Relu, Sequential, Sgd, ShuffleUnit, ShuffleUnitKind, SkipConnection,
+    BatchNorm2d, Conv2d, CosineSchedule, GlobalAvgPool, Layer, Linear, Relu, Sequential, Sgd,
     SoftmaxCrossEntropy,
 };
-use hsconas_space::{resolve_geometry, Arch, LayerGeom, NetworkSkeleton, OpKind};
+use hsconas_space::{resolve_geometry, Arch, NetworkSkeleton};
 use hsconas_tensor::rng::SmallRng;
-use hsconas_tensor::Tensor;
-
-/// A stride-1 ShuffleNetV2-style unit generalized to `c_in != c_out`
-/// (which arises when adjacent layers picked different channel scales):
-/// the pass-through half is zero-padded / truncated (free), and the
-/// convolutional branch maps `c_in/2 → c_out/2` — the same decomposition
-/// the cost model and the simulator lowering use.
-pub struct AdaptedShuffleUnit {
-    c_in: usize,
-    c_out: usize,
-    right: Sequential,
-    shuffle: ChannelShuffle,
-}
-
-impl std::fmt::Debug for AdaptedShuffleUnit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptedShuffleUnit")
-            .field("c_in", &self.c_in)
-            .field("c_out", &self.c_out)
-            .finish()
-    }
-}
-
-impl AdaptedShuffleUnit {
-    /// Builds the unit for the given operator kind (must be parametric).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SupernetError`] if channel counts are odd.
-    pub fn new(
-        op: OpKind,
-        c_in: usize,
-        c_out: usize,
-        rng: &mut SmallRng,
-    ) -> Result<Self, SupernetError> {
-        if !c_in.is_multiple_of(2) || !c_out.is_multiple_of(2) {
-            return Err(SupernetError::Nn(NnError::InvalidConfig {
-                layer: "AdaptedShuffleUnit",
-                detail: format!("channels must be even, got {c_in} -> {c_out}"),
-            }));
-        }
-        let b_in = c_in / 2;
-        let b_out = c_out / 2;
-        let right = match op {
-            OpKind::Shuffle3 | OpKind::Shuffle5 | OpKind::Shuffle7 => {
-                let k = op.kernel().expect("parametric");
-                Sequential::new()
-                    .push(Conv2d::pointwise(b_in, b_out, rng))
-                    .push(BatchNorm2d::new(b_out))
-                    .push(Relu::new())
-                    .push(Conv2d::depthwise(b_out, k, 1, rng))
-                    .push(BatchNorm2d::new(b_out))
-                    .push(Conv2d::pointwise(b_out, b_out, rng))
-                    .push(BatchNorm2d::new(b_out))
-                    .push(Relu::new())
-            }
-            OpKind::Xception => Sequential::new()
-                .push(Conv2d::depthwise(b_in, 3, 1, rng))
-                .push(BatchNorm2d::new(b_in))
-                .push(Conv2d::pointwise(b_in, b_out, rng))
-                .push(BatchNorm2d::new(b_out))
-                .push(Relu::new())
-                .push(Conv2d::depthwise(b_out, 3, 1, rng))
-                .push(BatchNorm2d::new(b_out))
-                .push(Conv2d::pointwise(b_out, b_out, rng))
-                .push(BatchNorm2d::new(b_out))
-                .push(Relu::new())
-                .push(Conv2d::depthwise(b_out, 3, 1, rng))
-                .push(BatchNorm2d::new(b_out))
-                .push(Conv2d::pointwise(b_out, b_out, rng))
-                .push(BatchNorm2d::new(b_out))
-                .push(Relu::new()),
-            OpKind::Skip => {
-                return Err(SupernetError::Nn(NnError::InvalidConfig {
-                    layer: "AdaptedShuffleUnit",
-                    detail: "skip is materialized as SkipConnection, not a unit".into(),
-                }))
-            }
-        };
-        Ok(AdaptedShuffleUnit {
-            c_in,
-            c_out,
-            right,
-            shuffle: ChannelShuffle::new(2),
-        })
-    }
-}
-
-impl Layer for AdaptedShuffleUnit {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let (left, right_in) = input.split_channels(self.c_in / 2)?;
-        let left = adapt_channels(&left, self.c_out / 2);
-        let right = self.right.forward(&right_in, train)?;
-        let cat = Tensor::concat_channels(&[&left, &right])?;
-        self.shuffle.forward(&cat, train)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let g = self.shuffle.backward(grad_out)?;
-        let (g_left, g_right) = g.split_channels(self.c_out / 2)?;
-        let g_left_in = adapt_channels(&g_left, self.c_in / 2);
-        let g_right_in = self.right.backward(&g_right)?;
-        Ok(Tensor::concat_channels(&[&g_left_in, &g_right_in])?)
-    }
-
-    fn visit_params(&mut self, f: &mut ParamVisitor) {
-        self.right.visit_params(f);
-    }
-
-    fn set_bn_mode(&mut self, mode: hsconas_nn::BnMode) {
-        self.right.set_bn_mode(mode);
-    }
-
-    fn name(&self) -> &'static str {
-        "AdaptedShuffleUnit"
-    }
-}
-
-fn materialize_layer(
-    geom: &LayerGeom,
-    rng: &mut SmallRng,
-) -> Result<Box<dyn Layer>, SupernetError> {
-    Ok(match (geom.op, geom.stride) {
-        (OpKind::Skip, 1) => Box::new(SkipConnection::new()),
-        (OpKind::Skip, _) => Box::new(DownsampleSkip::new(geom.c_in, geom.c_out)),
-        (op, 1) => Box::new(AdaptedShuffleUnit::new(op, geom.c_in, geom.c_out, rng)?),
-        (op, _) => {
-            // stride-2 units already support arbitrary even c_in → c_out
-            let kind = match op {
-                OpKind::Shuffle3 => ShuffleUnitKind::Standard { kernel: 3 },
-                OpKind::Shuffle5 => ShuffleUnitKind::Standard { kernel: 5 },
-                OpKind::Shuffle7 => ShuffleUnitKind::Standard { kernel: 7 },
-                OpKind::Xception => ShuffleUnitKind::Xception,
-                OpKind::Skip => unreachable!("handled above"),
-            };
-            Box::new(ShuffleUnit::new(kind, geom.c_in, geom.c_out, 2, rng)?)
-        }
-    })
-}
 
 /// Materializes `arch` as a standalone trainable network with structurally
 /// scaled widths (stem + blocks + head + classifier).
@@ -184,7 +48,13 @@ pub fn build_subnet(
         .push(BatchNorm2d::new(skeleton.stem_channels))
         .push(Relu::new());
     for geom in &geoms {
-        net.push_boxed(materialize_layer(geom, rng)?);
+        net.push_boxed(build_operator(
+            geom.op,
+            geom.c_in,
+            geom.c_out,
+            geom.stride,
+            rng,
+        )?);
     }
     let last_c = geoms
         .last()
@@ -265,7 +135,8 @@ pub fn train_from_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsconas_space::{ChannelScale, Gene, SearchSpace};
+    use hsconas_space::{ChannelScale, Gene, OpKind, SearchSpace};
+    use hsconas_tensor::Tensor;
     use rand::SeedableRng;
 
     #[test]
@@ -304,28 +175,6 @@ mod tests {
             narrow_net.param_count(),
             wide_net.param_count()
         );
-    }
-
-    #[test]
-    fn adapted_unit_handles_width_changes() {
-        let mut rng = SmallRng::new(4);
-        // widen: 8 -> 12, shrink: 12 -> 6
-        for (c_in, c_out) in [(8usize, 12usize), (12, 6), (8, 8)] {
-            let mut unit =
-                AdaptedShuffleUnit::new(OpKind::Shuffle3, c_in, c_out, &mut rng).unwrap();
-            let x = Tensor::randn([1, c_in, 4, 4], 1.0, &mut rng);
-            let y = unit.forward(&x, true).unwrap();
-            assert_eq!(y.shape().to_vec(), vec![1, c_out, 4, 4]);
-            let g = unit.backward(&Tensor::full(y.shape(), 1.0)).unwrap();
-            assert_eq!(g.shape(), x.shape());
-        }
-    }
-
-    #[test]
-    fn adapted_unit_rejects_odd_and_skip() {
-        let mut rng = SmallRng::new(5);
-        assert!(AdaptedShuffleUnit::new(OpKind::Shuffle3, 7, 8, &mut rng).is_err());
-        assert!(AdaptedShuffleUnit::new(OpKind::Skip, 8, 8, &mut rng).is_err());
     }
 
     #[test]

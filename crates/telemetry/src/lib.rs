@@ -11,7 +11,7 @@
 //!   schema v1 in [`event`]) and an in-memory sink for tests
 //!   ([`MemorySink`]).
 //! * [`RunReport`] — renders a JSONL log into a per-phase summary table
-//!   (also available as the `telemetry_report` binary).
+//!   (the `hsconas report RUN.jsonl` command).
 //!
 //! **The contract: telemetry is observation-only.** It never draws from an
 //! RNG, never reorders work, and never feeds a value back into the pipeline,

@@ -88,7 +88,7 @@ fn end_to_end_search_with_trained_oracle() {
 /// End-to-end observability acceptance: a real pipeline run streamed to a
 /// JSONL telemetry log must decode into a run report covering every phase
 /// — supernet training, latency calibration, shrink stages, and EA
-/// generations — exactly what `hsconas report` / `telemetry_report` show.
+/// generations — exactly what `hsconas report` shows.
 #[cfg(feature = "telemetry")]
 #[test]
 fn real_pipeline_jsonl_log_renders_full_phase_report() {
