@@ -57,7 +57,7 @@ fn main() {
                  serve     [--host H] [--port N] [--state-dir DIR] [--budget fast|full] [--devices a,b]\n\
                  \x20         [--queue-cap N] [--eval-workers N] [--pool-threads N] [--batch-max N]\n\
                  \x20         [--lut-watch-ms N] [--bench-table FILE] [--telemetry RUN.jsonl]\n\
-                 \x20         [--fleet N | --workers H:P,H:P,...] [--vnodes N] [--health-ms N]\n\
+                 \x20         [--fleet N | --workers H:P,H:P,...] [--health-ms N]\n\
                  \x20         [--shard-timeout-ms N] [--drain-workers]\n\
                  bench-table --out FILE [--devices a,b,c] [--samples N] [--seed N] [--state-dir DIR]\n\
                  \x20         [--budget fast|full] [--calibration-seed N]\n\
@@ -434,7 +434,6 @@ fn cmd_serve_fleet(
         host: flag(args, "--host").unwrap_or(defaults.host),
         port: parse_num("--port", 0)? as u16,
         shards,
-        vnodes: parse_num("--vnodes", defaults.vnodes as u64)? as usize,
         health_ms: parse_num("--health-ms", defaults.health_ms)?,
         shard_timeout_ms: parse_num("--shard-timeout-ms", defaults.shard_timeout_ms)?,
         drain_shards: fleet.is_some() || has_flag(args, "--drain-workers"),

@@ -1,18 +1,23 @@
 //! A hand-rolled, panic-free JSON value codec for the wire protocol.
 //!
-//! The vendored `serde_json` stand-in only (de)serializes concrete derived
-//! types; the serving protocol needs to parse *untrusted* bytes into a
-//! generic value first (so malformed frames can be rejected with a precise
-//! error instead of a panic), and to render responses with a deterministic
-//! field order (so identical requests produce byte-identical reply lines —
-//! the property the protocol tests assert). Hence this small recursive-
-//! descent parser:
+//! The vendored `serde_json` stand-in also parses text into a generic
+//! value (`serde::Value`, which telemetry's JSONL reader uses), but three
+//! things make it unfit for a wire that reads *untrusted* bytes and
+//! promises byte-identical reply lines:
 //!
-//! * never panics — every index is bounds-checked, every `char` conversion
-//!   guarded, recursion is depth-limited ([`MAX_DEPTH`]);
-//! * reports the byte offset of the first error;
-//! * preserves object key order on both parse and encode, so encoding is a
-//!   pure function of insertion order.
+//! * it recurses without a depth limit, so a frame of `[[[[…` could
+//!   exhaust the connection thread's stack; this parser stops at
+//!   [`MAX_DEPTH`];
+//! * several of its errors (unterminated strings, bad escapes, early end
+//!   of input) name no position; every error here carries the byte offset
+//!   of the first bad byte, which the `400` answer reports;
+//! * it writes integral floats as `24.0`; the protocol writes `24`, so a
+//!   seed or a gene index reads back as the integer it is.
+//!
+//! This small recursive-descent parser never panics — every index is
+//! bounds-checked, every `char` conversion guarded — and preserves object
+//! key order on both parse and encode, so encoding is a pure function of
+//! insertion order.
 
 use std::fmt;
 

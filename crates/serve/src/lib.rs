@@ -42,6 +42,7 @@
 pub mod client;
 pub mod fleet;
 pub mod json;
+mod listener;
 pub mod metrics;
 pub mod proto;
 pub mod router;

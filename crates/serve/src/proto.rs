@@ -413,7 +413,8 @@ impl Request {
     }
 }
 
-fn encode_arch(arch: &[usize]) -> Json {
+/// A genome as its wire array of gene indices.
+pub(crate) fn encode_arch(arch: &[usize]) -> Json {
     Json::Arr(arch.iter().map(|&g| Json::Num(g as f64)).collect())
 }
 

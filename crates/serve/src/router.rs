@@ -35,34 +35,39 @@
 //!
 //! ## Forwarding, failover, drain
 //!
-//! Request lines are forwarded to the owning shard *verbatim* and the
-//! shard's response line is relayed back byte-for-byte — the router never
-//! re-encodes, so fleet responses are bit-identical to single-daemon
-//! responses by construction. Each client connection thread keeps one
-//! pooled connection per shard; on a transport error the router reconnects
-//! and resends once (safe: every routed command is a pure read or a
-//! deterministic recomputation), and a second failure answers `503` for
-//! that request while a background health prober marks the shard down.
-//! Requests for healthy shards are completely unaffected — no crosstalk.
+//! The router runs the daemon's transport — the crate's shared `listener`
+//! module: one accept loop, one frame loop, one connection writer — and
+//! plugs in only what differs: junk frames count as `router.malformed`,
+//! and decoded requests are routed. Request lines are forwarded to the
+//! owning shard *verbatim* and the shard's response line is relayed back
+//! byte-for-byte — the router never re-encodes, so fleet responses are
+//! bit-identical to single-daemon responses by construction. Each client
+//! connection thread keeps one pooled [`Client`] per shard; on a transport
+//! error the router reconnects and resends once (safe: every routed
+//! command is a pure read or a deterministic recomputation), and a second
+//! failure answers `503` for that request while a background health
+//! prober marks the shard down. Requests for healthy shards are
+//! completely unaffected — no crosstalk.
 //!
-//! Drain ordering on `shutdown`: stop admitting (new routed requests get
-//! `503`), wait for in-flight forwards to complete, send `shutdown` to
-//! every shard (each drains its own queue before exiting), then return so
-//! the CLI can join fleet-spawned worker processes.
+//! Drain ordering on `shutdown`: stop admitting (the accept loop stops,
+//! and routed requests on connections still open get `503`), wait for
+//! in-flight forwards to complete, send `shutdown` to every shard (each
+//! drains its own queue before exiting), then return so the CLI can join
+//! fleet-spawned worker processes.
 
+use crate::client::Client;
 use crate::json::Json;
+use crate::listener::{self, ConnWriter, Gate, Service};
 use crate::metrics::{count, ServeMetrics, REJECTED, SERVED};
-use crate::proto::{
-    read_frame, Command, Frame, Request, Response, CODE_BAD_REQUEST, CODE_OK, CODE_SHUTTING_DOWN,
-    MAX_FRAME_BYTES,
-};
+use crate::proto::{Command, Request, Response, CODE_BAD_REQUEST, CODE_OK, CODE_SHUTTING_DOWN};
 use hsconas_ckpt::fnv1a;
 use hsconas_telemetry::Counter;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -210,8 +215,6 @@ pub struct RouterOptions {
     /// Worker addresses, in ring order. Order is part of the contract:
     /// the same list order reproduces the same key→shard map.
     pub shards: Vec<String>,
-    /// Virtual nodes per shard on the ring.
-    pub vnodes: usize,
     /// Health-probe interval; 0 disables the prober (requests still fail
     /// over per-call).
     pub health_ms: u64,
@@ -229,7 +232,6 @@ impl Default for RouterOptions {
             host: "127.0.0.1".into(),
             port: 0,
             shards: Vec::new(),
-            vnodes: VNODES_PER_SHARD,
             health_ms: 500,
             shard_timeout_ms: 300_000,
             drain_shards: true,
@@ -262,11 +264,10 @@ impl ShardState {
 }
 
 struct RouterShared {
-    addr: SocketAddr,
     options: RouterOptions,
     ring: HashRing,
     shards: Vec<ShardState>,
-    draining: AtomicBool,
+    gate: Gate,
     /// Forwards in progress: the drain gate, not a counter.
     in_flight: AtomicU64,
     started: Instant,
@@ -278,20 +279,6 @@ struct RouterShared {
     /// Router-side per-command latency histograms (measured around the
     /// full forward hop, so these are the client-visible SLO numbers).
     metrics: ServeMetrics,
-}
-
-impl RouterShared {
-    fn begin_shutdown(&self) {
-        if !self.draining.swap(true, Ordering::AcqRel) {
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A bound router, ready to [`run`](Router::run).
@@ -317,7 +304,7 @@ impl Router {
         }
         let listener = TcpListener::bind((options.host.as_str(), options.port))?;
         let addr = listener.local_addr()?;
-        let ring = HashRing::new(options.shards.len(), options.vnodes);
+        let ring = HashRing::new(options.shards.len(), VNODES_PER_SHARD);
         let shards = options
             .shards
             .iter()
@@ -327,11 +314,10 @@ impl Router {
         Ok(Router {
             listener,
             shared: Arc::new(RouterShared {
-                addr,
                 options,
                 ring,
                 shards,
-                draining: AtomicBool::new(false),
+                gate: Gate::new(addr),
                 in_flight: AtomicU64::new(0),
                 started: Instant::now(),
                 connections: Counter::register("router.connections"),
@@ -346,199 +332,146 @@ impl Router {
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.gate.addr()
     }
 
     /// Serves until a `shutdown` request arrives, then drains: stop
     /// admitting, wait for in-flight forwards, tell every shard to drain
-    /// (when [`RouterOptions::drain_shards`]), and return.
+    /// (when [`RouterOptions::drain_shards`]), join the health prober, and
+    /// return. A fatal accept error drains the same way before it is
+    /// returned.
     ///
     /// # Errors
     ///
     /// Fatal accept-loop I/O errors only.
     pub fn run(self) -> io::Result<()> {
         let shared = self.shared;
-
-        let prober = if shared.options.health_ms > 0 {
-            let shared = Arc::clone(&shared);
-            let interval = Duration::from_millis(shared.options.health_ms);
-            Some(
-                thread::Builder::new()
-                    .name("route-health".into())
-                    .spawn(move || {
-                        while !shared.draining.load(Ordering::Acquire) {
-                            thread::sleep(interval);
-                            probe_all(&shared);
-                        }
-                    })?,
-            )
-        } else {
-            None
-        };
-
-        for stream in self.listener.incoming() {
-            if shared.draining.load(Ordering::Acquire) {
-                break;
+        listener::serve(&self.listener, &shared, || {
+            // Let in-flight forwards finish writing their responses before
+            // the shards are told to exit underneath them.
+            let deadline = Instant::now() + Duration::from_millis(shared.options.shard_timeout_ms);
+            while shared.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(10));
             }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                Err(e) => return Err(e),
-            };
-            // One-line frames; see the matching note in `server.rs` — the
-            // router pays the Nagle stall twice (client hop + shard hop).
-            let _ = stream.set_nodelay(true);
-            shared.connections.incr();
-            let shared = Arc::clone(&shared);
-            let _ = thread::Builder::new()
-                .name("route-conn".into())
-                .spawn(move || handle_connection(&shared, stream));
-        }
-
-        // Drain: let in-flight forwards finish writing their responses
-        // before the shards are told to exit underneath them.
-        let deadline = Instant::now() + Duration::from_millis(shared.options.shard_timeout_ms);
-        while shared.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(10));
-        }
-        if shared.options.drain_shards {
-            for shard in &shared.shards {
-                drain_shard(&shared, shard);
+            if shared.options.drain_shards {
+                for shard in &shared.shards {
+                    drain_shard(shard);
+                }
             }
-        }
-        if let Some(prober) = prober {
-            let _ = prober.join();
-        }
-        Ok(())
+        })
     }
 }
 
-/// One pooled connection to a shard.
-struct ShardConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+impl Service for RouterShared {
+    /// One pooled connection per shard, owned by this client connection,
+    /// so request/response ordering per shard link is trivially FIFO.
+    type Session = HashMap<usize, Client>;
+    const NAME: &'static str = "route";
+
+    fn gate(&self) -> &Gate {
+        &self.gate
+    }
+
+    fn connections(&self) -> &Counter {
+        &self.connections
+    }
+
+    /// The health prober.
+    fn tick_every(&self) -> Option<Duration> {
+        let ms = self.options.health_ms;
+        (ms > 0).then(|| Duration::from_millis(ms))
+    }
+
+    /// One health sweep: a `status` round-trip per shard with a short
+    /// timeout.
+    fn tick(&self) {
+        for shard in &self.shards {
+            self.health_probes.incr();
+            if probe_status(&shard.addr, Duration::from_millis(2_000)).is_err() {
+                self.health_failures.incr();
+            }
+        }
+    }
+
+    fn frame_rejected(&self, conn: &ConnWriter, response: Response) {
+        self.malformed.incr();
+        conn.send(&response);
+    }
+
+    fn request(
+        &self,
+        conn: &Arc<ConnWriter>,
+        pool: &mut HashMap<usize, Client>,
+        line: &[u8],
+        request: Request,
+    ) {
+        let _span = hsconas_telemetry::span!("route.request", cmd = request.command.name());
+        let Some(key) = route_key(&request.command) else {
+            return answer_locally(self, conn, request);
+        };
+        if self.gate.is_draining() {
+            self.rejected_draining.incr();
+            let response = Response::fail(request.id, CODE_SHUTTING_DOWN, "router is draining");
+            return conn.send(&response);
+        }
+        let shard_idx = self.ring.shard_for(key);
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        // A line that decoded is valid UTF-8 (the JSON parser validates
+        // every string and accepts nothing else outside ASCII), so this
+        // borrows the bytes unchanged.
+        let reply = forward(
+            self,
+            pool,
+            shard_idx,
+            &String::from_utf8_lossy(line),
+            &request,
+        );
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        match reply {
+            Ok(line) => conn.send_line(line),
+            Err(response) => conn.send(&response),
+        }
+    }
 }
 
-fn shard_connect(addr: &str, timeout: Duration) -> io::Result<ShardConn> {
+/// The commands the router answers itself: `status` as the fleet
+/// aggregate, `shutdown` as the fleet drain.
+fn answer_locally(shared: &RouterShared, conn: &ConnWriter, request: Request) {
+    match request.command {
+        Command::Status => {
+            let started = Instant::now();
+            let status = build_fleet_status(shared);
+            shared
+                .metrics
+                .record_served("status", started.elapsed().as_secs_f64() * 1e3);
+            conn.send(&Response::ok(request.id, status));
+        }
+        Command::Shutdown => {
+            shared.metrics.record_served("shutdown", 0.0);
+            conn.send(&Response::ok(
+                request.id,
+                Json::obj(vec![
+                    ("draining", Json::Bool(true)),
+                    ("workers", Json::Num(shared.shards.len() as f64)),
+                ]),
+            ));
+            shared.gate.begin_shutdown();
+        }
+        _ => unreachable!("route_key is None only for status/shutdown"),
+    }
+}
+
+/// A fresh client for the shard at `addr`: resolve, connect within 1 s,
+/// and wait up to `timeout` for each reply.
+fn dial(addr: &str, timeout: Duration) -> io::Result<Client> {
     let sock_addr = addr
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable shard addr"))?;
     let stream = TcpStream::connect_timeout(&sock_addr, Duration::from_millis(1_000))?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    let writer = stream.try_clone()?;
-    Ok(ShardConn {
-        reader: BufReader::new(stream),
-        writer,
-    })
-}
-
-/// Writes one raw request line and reads one raw response line.
-fn exchange(conn: &mut ShardConn, line: &[u8]) -> io::Result<Vec<u8>> {
-    conn.writer.write_all(line)?;
-    conn.writer.write_all(b"\n")?;
-    conn.writer.flush()?;
-    match read_frame(&mut conn.reader, MAX_FRAME_BYTES)? {
-        Frame::Line(bytes) => Ok(bytes),
-        Frame::Oversized => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized shard reply",
-        )),
-        Frame::Eof => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "shard closed the connection",
-        )),
-    }
-}
-
-fn handle_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = Mutex::new(write_half);
-    let send_line = |bytes: &[u8]| {
-        let mut guard = lock(&writer);
-        let _ = guard.write_all(bytes);
-        let _ = guard.write_all(b"\n");
-        let _ = guard.flush();
-    };
-    let send_response = |response: &Response| send_line(response.encode().as_bytes());
-
-    // One pooled connection per shard, owned by this client connection, so
-    // request/response ordering per shard link is trivially FIFO.
-    let mut pool: HashMap<usize, ShardConn> = HashMap::new();
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_frame(&mut reader, MAX_FRAME_BYTES) {
-            Err(_) | Ok(Frame::Eof) => break,
-            Ok(Frame::Oversized) => {
-                shared.malformed.incr();
-                send_response(&Response::fail(
-                    "",
-                    crate::proto::CODE_FRAME_TOO_LARGE,
-                    format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
-                ));
-            }
-            Ok(Frame::Line(line)) => {
-                if line.iter().all(u8::is_ascii_whitespace) {
-                    continue;
-                }
-                let request = match Request::decode(&line) {
-                    Err(e) => {
-                        shared.malformed.incr();
-                        send_response(&Response::fail(e.id.unwrap_or_default(), e.code, e.detail));
-                        continue;
-                    }
-                    Ok(request) => request,
-                };
-                let _span = hsconas_telemetry::span!("route.request", cmd = request.command.name());
-                match route_key(&request.command) {
-                    None => match request.command {
-                        Command::Status => {
-                            let started = Instant::now();
-                            let status = build_fleet_status(shared);
-                            shared
-                                .metrics
-                                .record_served("status", started.elapsed().as_secs_f64() * 1e3);
-                            send_response(&Response::ok(request.id, status));
-                        }
-                        Command::Shutdown => {
-                            shared.metrics.record_served("shutdown", 0.0);
-                            send_response(&Response::ok(
-                                request.id,
-                                Json::obj(vec![
-                                    ("draining", Json::Bool(true)),
-                                    ("workers", Json::Num(shared.shards.len() as f64)),
-                                ]),
-                            ));
-                            shared.begin_shutdown();
-                        }
-                        _ => unreachable!("route_key is None only for status/shutdown"),
-                    },
-                    Some(key) => {
-                        if shared.draining.load(Ordering::Acquire) {
-                            shared.rejected_draining.incr();
-                            send_response(&Response::fail(
-                                request.id,
-                                CODE_SHUTTING_DOWN,
-                                "router is draining",
-                            ));
-                            continue;
-                        }
-                        let shard_idx = shared.ring.shard_for(key);
-                        shared.in_flight.fetch_add(1, Ordering::AcqRel);
-                        let reply = forward(shared, &mut pool, shard_idx, &line, &request);
-                        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        match reply {
-                            Ok(bytes) => send_line(&bytes),
-                            Err(response) => send_response(&response),
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let mut client = Client::from_stream(stream)?;
+    client.set_timeout(Some(timeout))?;
+    Ok(client)
 }
 
 /// Forwards one raw request line to `shard_idx`, relaying the raw reply.
@@ -548,40 +481,35 @@ fn handle_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
 /// pure read or a deterministic recomputation — a duplicated execution
 /// produces the same bytes.
 fn forward(
-    shared: &Arc<RouterShared>,
-    pool: &mut HashMap<usize, ShardConn>,
+    shared: &RouterShared,
+    pool: &mut HashMap<usize, Client>,
     shard_idx: usize,
-    line: &[u8],
+    line: &str,
     request: &Request,
-) -> Result<Vec<u8>, Response> {
+) -> Result<String, Response> {
     let shard = &shared.shards[shard_idx];
     let timeout = Duration::from_millis(shared.options.shard_timeout_ms.max(1));
     shard.routed.incr();
     let started = Instant::now();
 
-    fn attempt(
-        pool: &mut HashMap<usize, ShardConn>,
-        shard_idx: usize,
-        addr: &str,
-        timeout: Duration,
-        line: &[u8],
-    ) -> io::Result<Vec<u8>> {
-        if let std::collections::hash_map::Entry::Vacant(slot) = pool.entry(shard_idx) {
-            slot.insert(shard_connect(addr, timeout)?);
+    let attempt = |pool: &mut HashMap<usize, Client>| -> io::Result<String> {
+        if let Entry::Vacant(slot) = pool.entry(shard_idx) {
+            slot.insert(dial(&shard.addr, timeout)?);
         }
-        let conn = pool.get_mut(&shard_idx).expect("pooled conn");
-        exchange(conn, line)
-    }
+        pool.get_mut(&shard_idx)
+            .expect("pooled client")
+            .call_raw(line)
+    };
 
-    let bytes = match attempt(pool, shard_idx, &shard.addr, timeout, line) {
-        Ok(bytes) => bytes,
+    let reply = match attempt(pool) {
+        Ok(reply) => reply,
         Err(_) => {
             // First failure: the pooled connection may simply be stale
             // (shard restarted since). Reconnect and resend once.
             pool.remove(&shard_idx);
             shard.retried.incr();
-            match attempt(pool, shard_idx, &shard.addr, timeout, line) {
-                Ok(bytes) => bytes,
+            match attempt(pool) {
+                Ok(reply) => reply,
                 Err(e) => {
                     pool.remove(&shard_idx);
                     shard.failed.incr();
@@ -597,7 +525,7 @@ fn forward(
     };
     // Record the router-side latency under the request's own command name
     // so fleet SLOs are measured where the client sees them.
-    match Response::decode(&bytes) {
+    match Response::decode(reply.as_bytes()) {
         Ok(response) if response.code == CODE_OK => shared.metrics.record_served(
             request.command.name(),
             started.elapsed().as_secs_f64() * 1e3,
@@ -605,42 +533,24 @@ fn forward(
         Ok(response) => shared.metrics.record_rejected(response.code),
         Err(_) => shared.metrics.record_rejected(CODE_BAD_REQUEST),
     }
-    Ok(bytes)
-}
-
-/// One health sweep: a `status` round-trip per shard with a short timeout.
-fn probe_all(shared: &Arc<RouterShared>) {
-    for shard in &shared.shards {
-        shared.health_probes.incr();
-        if probe_status(&shard.addr, Duration::from_millis(2_000)).is_err() {
-            shared.health_failures.incr();
-        }
-    }
+    Ok(reply)
 }
 
 /// A `status` request on a fresh connection, returning the result object.
 fn probe_status(addr: &str, timeout: Duration) -> io::Result<Json> {
-    let mut conn = shard_connect(addr, timeout)?;
-    let bytes = exchange(&mut conn, br#"{"id":"router-probe","cmd":"status"}"#)?;
-    let response = Response::decode(&bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    response
+    dial(addr, timeout)?
+        .status()?
         .result
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "status carried no result"))
 }
 
 /// Best-effort `shutdown` to one shard during drain.
-fn drain_shard(shared: &Arc<RouterShared>, shard: &ShardState) {
-    let attempt = || -> io::Result<()> {
-        let mut conn = shard_connect(&shard.addr, Duration::from_millis(10_000))?;
-        exchange(&mut conn, br#"{"id":"router-drain","cmd":"shutdown"}"#)?;
-        Ok(())
-    };
-    if let Err(e) = attempt() {
+fn drain_shard(shard: &ShardState) {
+    if let Err(e) = dial(&shard.addr, Duration::from_millis(10_000)).and_then(|mut c| c.shutdown())
+    {
         // A shard that is already gone does not block fleet drain; the
         // process layer (fleet join) handles stragglers.
         eprintln!("hsconas-route: drain of shard {} skipped: {e}", shard.addr);
-        let _ = shared; // counters already tell the story
     }
 }
 
@@ -661,7 +571,7 @@ fn sum_field(statuses: &[Option<Json>], path: [&str; 2]) -> u64 {
 /// per-shard health + routing counters + the shard's own full status, and
 /// fleet-wide served/rejected sums (the soak test's accounting source —
 /// `served + overloaded == sent` is checked against these).
-fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
+fn build_fleet_status(shared: &RouterShared) -> Json {
     let statuses: Vec<Option<Json>> = shared
         .shards
         .iter()
@@ -723,10 +633,7 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
                     "uptime_ms",
                     Json::Num(shared.started.elapsed().as_millis() as f64),
                 ),
-                (
-                    "draining",
-                    Json::Bool(shared.draining.load(Ordering::Acquire)),
-                ),
+                ("draining", Json::Bool(shared.gate.is_draining())),
                 ("connections", count(&shared.connections)),
                 ("routed", total(|s| &s.routed)),
                 ("retried", total(|s| &s.retried)),
@@ -750,6 +657,96 @@ fn build_fleet_status(shared: &Arc<RouterShared>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{CODE_FRAME_TOO_LARGE, MAX_FRAME_BYTES};
+    use crate::{ServeOptions, Server};
+    use std::io::{BufRead, BufReader, Write};
+
+    /// A fatal accept error drains like `shutdown` does: `run` returns the
+    /// error only after the gate reads draining and the health prober has
+    /// joined.
+    #[test]
+    fn fatal_accept_error_drains_before_returning() {
+        // A port nothing listens on, so every health probe fails fast.
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let router = Router::bind(RouterOptions {
+            shards: vec![closed.to_string()],
+            health_ms: 5,
+            drain_shards: false,
+            ..RouterOptions::default()
+        })
+        .unwrap();
+        // Nothing is connecting, so a nonblocking accept fails at once.
+        router.listener.set_nonblocking(true).unwrap();
+        let shared = Arc::clone(&router.shared);
+        let err = router.run().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(shared.gate.is_draining());
+        // Only this handle is left: the prober let go.
+        assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    /// Through the router, on one connection: a blank line is skipped,
+    /// junk gets 400 and an oversized frame 413 (both counted as
+    /// `router.malformed`), a routed request is relayed byte-for-byte, and
+    /// after `shutdown` the still-open connection gets 503 for routed work.
+    #[test]
+    fn router_rejects_junk_relays_bytes_and_refuses_work_while_draining() {
+        let daemon = Server::bind(ServeOptions::default()).unwrap();
+        let daemon_addr = daemon.local_addr();
+        let daemon = thread::spawn(move || daemon.run());
+        let router = Router::bind(RouterOptions {
+            shards: vec![daemon_addr.to_string()],
+            health_ms: 0,
+            ..RouterOptions::default()
+        })
+        .unwrap();
+        let router_addr = router.local_addr();
+        let router = thread::spawn(move || router.run());
+
+        let arch = ["0,9"; 20].join(",");
+        let predict =
+            format!(r#"{{"id":"p","cmd":"predict_latency","device":"edge","arch":[{arch}]}}"#);
+        let direct = Client::connect(daemon_addr)
+            .unwrap()
+            .call_raw(&predict)
+            .unwrap();
+
+        let mut stream = TcpStream::connect(router_addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut next_reply = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.truncate(line.trim_end_matches('\n').len());
+            line
+        };
+        let oversized = "x".repeat(MAX_FRAME_BYTES + 1);
+        write!(stream, "\nnot json\n{oversized}\n{predict}\n").unwrap();
+        let junk = Response::decode(next_reply().as_bytes()).unwrap();
+        assert_eq!(junk.code, CODE_BAD_REQUEST);
+        let too_large = Response::decode(next_reply().as_bytes()).unwrap();
+        assert_eq!(too_large.code, CODE_FRAME_TOO_LARGE);
+        assert_eq!(next_reply(), direct);
+
+        writeln!(stream, r#"{{"id":"s","cmd":"status"}}"#).unwrap();
+        let status = Response::decode(next_reply().as_bytes()).unwrap();
+        let malformed = status
+            .result
+            .as_ref()
+            .and_then(|s| s.get("router"))
+            .and_then(|r| r.get("malformed"))
+            .and_then(Json::as_u64);
+        assert_eq!(malformed, Some(2));
+
+        Client::connect(router_addr).unwrap().shutdown().unwrap();
+        router.join().unwrap().unwrap();
+        daemon.join().unwrap().unwrap();
+        writeln!(stream, "{predict}").unwrap();
+        let refused = Response::decode(next_reply().as_bytes()).unwrap();
+        assert_eq!(refused.code, CODE_SHUTTING_DOWN);
+        assert_eq!(refused.error.as_deref(), Some("router is draining"));
+    }
 
     #[test]
     fn ring_is_deterministic_across_rebuilds() {

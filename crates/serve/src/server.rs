@@ -1,11 +1,15 @@
-//! The daemon: accept loop, per-connection framing, the bounded
-//! evaluation queue, and the micro-batching eval workers.
+//! The daemon: request dispatch, the one reply path, the bounded
+//! evaluation queue, and the micro-batching eval workers. The transport —
+//! accept loop, per-connection frame loop, connection writer, drain poke
+//! and background ticker — is the crate's shared `listener` module, which
+//! the fleet [`router`](crate::router) runs too.
 //!
 //! ## Threading model
 //!
 //! * One **acceptor** (the thread calling [`Server::run`]).
 //! * One detached **connection thread** per client, reading frames and
-//!   answering cheap requests (`status`, `predict_latency`) inline.
+//!   answering cheap requests (`status`, `predict_latency`, `infer`)
+//!   inline.
 //! * `eval_workers` **worker threads** draining the bounded queue.
 //!   [`hsconas_par::BoundedQueue::pop_batch`] merges adjacent *compatible*
 //!   jobs (same device, same target, both `score`) into one micro-batch,
@@ -13,12 +17,16 @@
 //!   evaluates — deduplicated against the cross-request
 //!   [`SharedEvalCache`](hsconas_evo::SharedEvalCache) and fanned out over
 //!   the `hsconas_par` pool.
-//! * An optional **watcher** thread polling predictor snapshots for hot
-//!   reload.
+//! * An optional **watcher** thread (the listener's ticker) polling
+//!   predictor snapshots for hot reload.
 //!
 //! Responses are written by whichever thread produced them, serialized by
 //! a per-connection write mutex, so draining needs no writer threads: when
 //! the workers have joined, every accepted job's response bytes are out.
+//! Every response, from a frame error to a worker's answer, leaves through
+//! one routine that counts it — `served` with its latency on 200,
+//! `rejected` by code otherwise — so `served + rejected == sent` is
+//! decided in one place.
 //!
 //! ## Backpressure
 //!
@@ -39,25 +47,26 @@
 //! response lines.
 
 use crate::json::Json;
+use crate::listener::{self, ConnWriter, Gate, Service};
 use crate::metrics::{count, ServeMetrics};
 use crate::proto::{
-    read_frame, Command, Frame, Request, Response, CODE_INTERNAL, CODE_OK, CODE_SHUTTING_DOWN,
-    CODE_UNKNOWN_DEVICE, MAX_FRAME_BYTES,
+    encode_arch, Command, Request, Response, CODE_BAD_REQUEST, CODE_INTERNAL, CODE_OK,
+    CODE_OVERLOADED, CODE_SHUTTING_DOWN, CODE_UNKNOWN_DEVICE,
 };
 use crate::state::{DeviceState, EvalContext, ServeError, ServeOptions, WarmState, BETA};
 use crate::table::BenchTable;
 use hsconas_evo::{
-    tradeoff_score, EvolutionSearch, MemoObjective, Objective, ParallelObjective, ParetoObjective,
-    ParetoSearch,
+    tradeoff_score, Evaluation, EvolutionSearch, MemoObjective, Objective, ParallelObjective,
+    ParetoObjective, ParetoSearch,
 };
 use hsconas_par::{BoundedQueue, PushError};
 use hsconas_space::Arch;
+use hsconas_telemetry::Counter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -94,23 +103,10 @@ impl EvalJob {
             JobKind::Pareto { .. } => "pareto",
         }
     }
-}
 
-/// The write half of one client connection. Response lines go through the
-/// mutex so inline answers and worker answers never interleave bytes.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-}
-
-impl ConnWriter {
-    /// Writes one response line. Errors are swallowed: the client hanging
-    /// up early must not take a worker down with it.
-    fn send(&self, response: &Response) {
-        let mut line = response.encode();
-        line.push('\n');
-        let mut guard = lock(&self.stream);
-        let _ = guard.write_all(line.as_bytes());
-        let _ = guard.flush();
+    /// Answers this job through the daemon's one reply path.
+    fn reply(&self, shared: &Shared, response: Response) {
+        reply(shared, &self.conn, self.cmd(), self.received, response);
     }
 }
 
@@ -118,30 +114,10 @@ struct Shared {
     state: WarmState,
     metrics: ServeMetrics,
     queue: BoundedQueue<EvalJob>,
-    draining: AtomicBool,
-    addr: SocketAddr,
-    batch_max: usize,
-    pool_threads: usize,
-    slow_eval_ms: u64,
+    gate: Gate,
     /// Precomputed `.hsbt` bench table, when `--bench-table` was given and
     /// the file validated at bind time.
     table: Option<BenchTable>,
-}
-
-impl Shared {
-    /// Flips into drain mode and pokes the acceptor awake with a throwaway
-    /// connection (std's blocking `accept` has nothing like a deadline).
-    fn begin_shutdown(&self) {
-        if !self.draining.swap(true, Ordering::AcqRel) {
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A bound-and-warmed daemon, ready to [`run`](Server::run).
@@ -162,9 +138,6 @@ impl Server {
         let listener = TcpListener::bind((options.host.as_str(), options.port))?;
         let addr = listener.local_addr()?;
         let queue = BoundedQueue::new(options.queue_capacity);
-        let batch_max = options.batch_max.max(1);
-        let pool_threads = options.pool_threads;
-        let slow_eval_ms = options.slow_eval_ms;
         let preload = options.preload.clone();
         // A bench table that fails to validate is a startup error, never a
         // silent fall-through: a corrupt or foreign table must not be
@@ -188,11 +161,7 @@ impl Server {
                 state,
                 metrics: ServeMetrics::new(),
                 queue,
-                draining: AtomicBool::new(false),
-                addr,
-                batch_max,
-                pool_threads,
-                slow_eval_ms,
+                gate: Gate::new(addr),
                 table,
             }),
         })
@@ -200,13 +169,14 @@ impl Server {
 
     /// The bound address (port is concrete even when 0 was requested).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.gate.addr()
     }
 
     /// Serves until a `shutdown` request arrives, then drains: the queue
-    /// is closed, the eval workers finish every admitted job and join, and
-    /// only then does this return. Every accepted job has had its response
-    /// bytes written by that point.
+    /// is closed, the eval workers finish every admitted job and join, the
+    /// watcher joins, and the eval caches spill. Every accepted job has
+    /// had its response bytes written by the time this returns. A fatal
+    /// accept error drains the same way before it is returned.
     ///
     /// # Errors
     ///
@@ -214,10 +184,8 @@ impl Server {
     /// contained in their threads.
     pub fn run(self) -> io::Result<()> {
         let shared = self.shared;
-        let options = shared.state.options().clone();
-
         let mut workers = Vec::new();
-        for i in 0..options.eval_workers.max(1) {
+        for i in 0..shared.state.options().eval_workers.max(1) {
             let shared = Arc::clone(&shared);
             workers.push(
                 thread::Builder::new()
@@ -225,126 +193,84 @@ impl Server {
                     .spawn(move || worker_loop(&shared))?,
             );
         }
-
-        let watcher = if options.lut_watch_ms > 0 {
-            let shared = Arc::clone(&shared);
-            let interval = Duration::from_millis(options.lut_watch_ms);
-            Some(
-                thread::Builder::new()
-                    .name("serve-lut-watch".into())
-                    .spawn(move || {
-                        while !shared.draining.load(Ordering::Acquire) {
-                            thread::sleep(interval);
-                            shared.state.poll_reload();
-                        }
-                    })?,
-            )
-        } else {
-            None
-        };
-
-        for stream in self.listener.incoming() {
-            if shared.draining.load(Ordering::Acquire) {
-                break;
+        let served = listener::serve(&self.listener, &shared, || {
+            shared.queue.close();
+            for worker in workers {
+                let _ = worker.join();
             }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                Err(e) => {
-                    shared.queue.close();
-                    return Err(e);
-                }
-            };
-            // One-line frames; without TCP_NODELAY the Nagle/delayed-ACK
-            // interaction costs ~40 ms per request on loopback.
-            let _ = stream.set_nodelay(true);
-            shared.metrics.connections.incr();
-            let shared = Arc::clone(&shared);
-            // Detached: a connection blocked in read must not block drain.
-            let _ = thread::Builder::new()
-                .name("serve-conn".into())
-                .spawn(move || handle_connection(&shared, stream));
-        }
-
-        shared.queue.close();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        if let Some(watcher) = watcher {
-            let _ = watcher.join();
-        }
-        // Workers are quiet now — flush whatever the periodic ticks
-        // haven't, so a restart (or a sibling shard) starts warm.
+        });
+        // Workers and watcher are quiet now — flush whatever the periodic
+        // ticks haven't, so a restart (or a sibling shard) starts warm.
         shared.state.spill_all();
-        Ok(())
+        served
     }
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let conn = Arc::new(ConnWriter {
-        stream: Mutex::new(write_half),
-    });
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_frame(&mut reader, MAX_FRAME_BYTES) {
-            Err(_) | Ok(Frame::Eof) => break,
-            Ok(Frame::Oversized) => {
-                let response = Response::fail(
-                    "",
-                    crate::proto::CODE_FRAME_TOO_LARGE,
-                    format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
-                );
-                shared.metrics.record_rejected(response.code);
-                conn.send(&response);
-            }
-            Ok(Frame::Line(line)) => {
-                if line.iter().all(u8::is_ascii_whitespace) {
-                    continue;
-                }
-                match Request::decode(&line) {
-                    Err(e) => {
-                        let response = Response::fail(e.id.unwrap_or_default(), e.code, e.detail);
-                        shared.metrics.record_rejected(response.code);
-                        conn.send(&response);
-                    }
-                    Ok(request) => dispatch(shared, &conn, request),
-                }
-            }
-        }
+impl Service for Shared {
+    type Session = ();
+    const NAME: &'static str = "serve";
+
+    fn gate(&self) -> &Gate {
+        &self.gate
+    }
+
+    fn connections(&self) -> &Counter {
+        &self.metrics.connections
+    }
+
+    /// The hot-reload watcher: polls predictor snapshots.
+    fn tick_every(&self) -> Option<Duration> {
+        let ms = self.state.options().lut_watch_ms;
+        (ms > 0).then(|| Duration::from_millis(ms))
+    }
+
+    fn tick(&self) {
+        self.state.poll_reload();
+    }
+
+    fn frame_rejected(&self, conn: &ConnWriter, response: Response) {
+        reply(self, conn, "", Instant::now(), response);
+    }
+
+    fn request(&self, conn: &Arc<ConnWriter>, _: &mut (), _: &[u8], request: Request) {
+        dispatch(self, conn, request);
     }
 }
 
-fn dispatch(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, request: Request) {
+/// The daemon's one reply path: every response — frame errors, 429/503
+/// at admission, inline answers and worker answers — is counted here,
+/// then sent. A 200 counts as `served.{cmd}` with its latency since
+/// `received`; any other code counts under `rejected` by code, and `cmd`
+/// goes unused.
+fn reply(shared: &Shared, conn: &ConnWriter, cmd: &str, received: Instant, response: Response) {
+    if response.code == CODE_OK {
+        shared.metrics.record_served(cmd, ms_since(received));
+    } else {
+        shared.metrics.record_rejected(response.code);
+    }
+    conn.send(&response);
+}
+
+fn dispatch(shared: &Shared, conn: &Arc<ConnWriter>, request: Request) {
     let received = Instant::now();
-    let _span = hsconas_telemetry::span!("serve.request", cmd = request.command.name());
-    match request.command {
-        Command::Status => {
-            let result = build_status(shared);
-            shared.metrics.record_served("status", ms_since(received));
-            conn.send(&Response::ok(request.id, result));
-        }
-        Command::Shutdown => {
-            shared.metrics.record_served("shutdown", ms_since(received));
-            conn.send(&Response::ok(
-                request.id,
-                Json::obj(vec![("draining", Json::Bool(true))]),
-            ));
-            shared.begin_shutdown();
-        }
+    let cmd = request.command.name();
+    let _span = hsconas_telemetry::span!("serve.request", cmd = cmd);
+    let shutdown = matches!(request.command, Command::Shutdown);
+    let id = request.id;
+    let response = match request.command {
+        Command::Status => Some(Response::ok(id, build_status(shared))),
+        Command::Shutdown => Some(Response::ok(
+            id,
+            Json::obj(vec![("draining", Json::Bool(true))]),
+        )),
         Command::PredictLatency { device, arch } => {
-            let response = predict_inline(shared, &request.id, &device, &arch, received);
-            if response.is_ok() {
-                shared
-                    .metrics
-                    .record_served("predict_latency", ms_since(received));
-            } else {
-                shared.metrics.record_rejected(response.code);
-            }
-            conn.send(&response);
+            Some(predict_inline(shared, &id, &device, &arch))
         }
+        Command::Infer {
+            arch,
+            input_seed,
+            batch,
+        } => Some(infer_inline(shared, &id, &arch, input_seed, batch)),
         Command::Score {
             device,
             target_ms,
@@ -353,62 +279,42 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, request: Request) {
             // Bench-table fast path: a covered arch answers O(1) inline,
             // bit-identically to the queued live evaluation. Skipped while
             // draining so the 503 semantics match the live path.
-            if !shared.draining.load(Ordering::Acquire) {
-                if let Some(response) =
-                    score_from_table(shared, &request.id, &device, target_ms, &arch)
-                {
-                    shared.metrics.record_served("score", ms_since(received));
-                    conn.send(&response);
-                    return;
-                }
-            }
-            admit(
-                shared,
-                conn,
-                request.id,
-                &device,
-                target_ms,
-                received,
-                |dev| dev.decode_arch(&arch).map(|arch| JobKind::Score { arch }),
-            );
+            let hit = if shared.gate.is_draining() {
+                None
+            } else {
+                score_from_table(shared, &id, &device, target_ms, &arch)
+            };
+            hit.or_else(|| {
+                admit(shared, conn, id, &[device], target_ms, received, |dev| {
+                    dev[0]
+                        .decode_arch(&arch)
+                        .map(|arch| JobKind::Score { arch })
+                })
+            })
         }
         Command::Search {
             device,
             target_ms,
             seed,
-        } => {
-            admit(
-                shared,
-                conn,
-                request.id,
-                &device,
-                target_ms,
-                received,
-                |_| Ok(JobKind::Search { seed }),
-            );
-        }
+        } => admit(shared, conn, id, &[device], target_ms, received, |_| {
+            Ok(JobKind::Search { seed })
+        }),
         Command::Pareto {
             devices,
             target_ms,
             seed,
-        } => {
-            admit_pareto(
-                shared, conn, request.id, &devices, target_ms, seed, received,
-            );
-        }
-        Command::Infer {
-            arch,
-            input_seed,
-            batch,
-        } => {
-            let response = infer_inline(shared, &request.id, &arch, input_seed, batch);
-            if response.is_ok() {
-                shared.metrics.record_served("infer", ms_since(received));
-            } else {
-                shared.metrics.record_rejected(response.code);
-            }
-            conn.send(&response);
-        }
+        } => admit(shared, conn, id, &devices, target_ms, received, |devices| {
+            Ok(JobKind::Pareto {
+                devices: devices.to_vec(),
+                seed,
+            })
+        }),
+    };
+    if let Some(response) = response {
+        reply(shared, conn, cmd, received, response);
+    }
+    if shutdown {
+        shared.gate.begin_shutdown();
     }
 }
 
@@ -416,43 +322,44 @@ fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-fn predict_inline(
-    shared: &Arc<Shared>,
-    id: &str,
-    device: &str,
-    arch: &[usize],
-    _received: Instant,
-) -> Response {
+/// The `score` result object.
+fn score_result(device: &DeviceState, target_ms: f64, evaluation: &Evaluation) -> Json {
+    Json::obj(vec![
+        ("device", Json::Str(device.name.clone())),
+        ("target_ms", Json::Num(target_ms)),
+        ("score", Json::Num(evaluation.score)),
+        ("accuracy", Json::Num(evaluation.accuracy)),
+        ("latency_ms", Json::Num(evaluation.latency_ms)),
+    ])
+}
+
+fn predict_inline(shared: &Shared, id: &str, device: &str, arch: &[usize]) -> Response {
     let device = match shared.state.device(device) {
         Ok(device) => device,
         Err(e) => return serve_error_response(id, &e),
     };
     let arch = match device.decode_arch(arch) {
         Ok(arch) => arch,
-        Err(detail) => return Response::fail(id, crate::proto::CODE_BAD_REQUEST, detail),
+        Err(detail) => return Response::fail(id, CODE_BAD_REQUEST, detail),
     };
-    if let Some((idx, entry)) = table_lookup(shared, &device, &arch) {
-        let table = shared.table.as_ref().expect("hit implies a loaded table");
-        return Response::ok(
-            id,
-            Json::obj(vec![
-                ("device", Json::Str(device.name.clone())),
-                ("latency_ms", Json::Num(entry.latencies_ms[idx])),
-                ("bias_us", Json::Num(table.devices[idx].bias_us)),
-            ]),
-        );
-    }
-    match device.predict_ms(&arch) {
-        Ok((latency_ms, bias_us)) => Response::ok(
-            id,
-            Json::obj(vec![
-                ("device", Json::Str(device.name.clone())),
-                ("latency_ms", Json::Num(latency_ms)),
-                ("bias_us", Json::Num(bias_us)),
-            ]),
-        ),
-        Err(detail) => Response::fail(id, CODE_INTERNAL, detail),
-    }
+    let (latency_ms, bias_us) = match table_lookup(shared, &device, &arch) {
+        Some((idx, entry)) => {
+            let table = shared.table.as_ref().expect("hit implies a loaded table");
+            (entry.latencies_ms[idx], table.devices[idx].bias_us)
+        }
+        None => match device.predict_ms(&arch) {
+            Ok(prediction) => prediction,
+            Err(detail) => return Response::fail(id, CODE_INTERNAL, detail),
+        },
+    };
+    Response::ok(
+        id,
+        Json::obj(vec![
+            ("device", Json::Str(device.name.clone())),
+            ("latency_ms", Json::Num(latency_ms)),
+            ("bias_us", Json::Num(bias_us)),
+        ]),
+    )
 }
 
 /// Answers `infer` inline: compile (or fetch) the genome's optimized
@@ -460,7 +367,7 @@ fn predict_inline(
 /// Inline because a tiny-skeleton compile is milliseconds and the cache
 /// absorbs the repeated-genome path entirely.
 fn infer_inline(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: &str,
     arch: &[usize],
     input_seed: u64,
@@ -468,7 +375,7 @@ fn infer_inline(
 ) -> Response {
     let (artifact, cached) = match shared.state.compiled_graph(arch) {
         Ok(pair) => pair,
-        Err(detail) => return Response::fail(id, crate::proto::CODE_BAD_REQUEST, detail),
+        Err(detail) => return Response::fail(id, CODE_BAD_REQUEST, detail),
     };
     if cached {
         shared.metrics.infer_cache_hits.incr();
@@ -539,7 +446,7 @@ fn table_lookup<'a>(
 /// any resolution failure returns `None` so the live path produces the
 /// identical 4xx it would have produced anyway.
 fn score_from_table(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: &str,
     device: &str,
     target_ms: f64,
@@ -550,18 +457,14 @@ fn score_from_table(
     let arch = device.decode_arch(arch).ok()?;
     let (idx, entry) = table_lookup(shared, &device, &arch)?;
     let latency_ms = entry.latencies_ms[idx];
+    let evaluation = Evaluation {
+        score: tradeoff_score(entry.accuracy, latency_ms, target_ms, BETA),
+        accuracy: entry.accuracy,
+        latency_ms,
+    };
     Some(Response::ok(
         id,
-        Json::obj(vec![
-            ("device", Json::Str(device.name.clone())),
-            ("target_ms", Json::Num(target_ms)),
-            (
-                "score",
-                Json::Num(tradeoff_score(entry.accuracy, latency_ms, target_ms, BETA)),
-            ),
-            ("accuracy", Json::Num(entry.accuracy)),
-            ("latency_ms", Json::Num(latency_ms)),
-        ]),
+        score_result(&device, target_ms, &evaluation),
     ))
 }
 
@@ -573,126 +476,66 @@ fn serve_error_response(id: &str, error: &ServeError) -> Response {
     Response::fail(id, code, error.to_string())
 }
 
-/// Admission control for queued work: resolve the device, build the job,
-/// try to enqueue, answer 429/503 immediately when that fails.
+/// Admission control for queued work. Refuses with 503 while draining;
+/// otherwise resolves every named device (one unknown name fails the
+/// request with 404) and canonicalizes the set — sorted by canonical
+/// name, deduped, which is what makes `pareto` frontier bytes invariant
+/// under device-list permutations and alias spellings. `build` then turns
+/// the resolved devices into the job (400 on a bad genome), and the job is
+/// enqueued; a full or closed queue refuses it with 429/503. Returns the
+/// refusal to send now, or `None` once a worker owns the answer.
 fn admit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     conn: &Arc<ConnWriter>,
     id: String,
-    device: &str,
+    names: &[String],
     target_ms: f64,
     received: Instant,
-    build: impl FnOnce(&Arc<DeviceState>) -> Result<JobKind, String>,
-) {
-    if shared.draining.load(Ordering::Acquire) {
-        let response = Response::fail(id, CODE_SHUTTING_DOWN, "server is draining");
-        shared.metrics.record_rejected(response.code);
-        conn.send(&response);
-        return;
+    build: impl FnOnce(&[Arc<DeviceState>]) -> Result<JobKind, String>,
+) -> Option<Response> {
+    if shared.gate.is_draining() {
+        return Some(Response::fail(id, CODE_SHUTTING_DOWN, "server is draining"));
     }
-    let device = match shared.state.device(device) {
-        Ok(device) => device,
-        Err(e) => {
-            let response = serve_error_response(&id, &e);
-            shared.metrics.record_rejected(response.code);
-            conn.send(&response);
-            return;
+    let mut devices: Vec<Arc<DeviceState>> = Vec::with_capacity(names.len());
+    for name in names {
+        match shared.state.device(name) {
+            Ok(device) => devices.push(device),
+            Err(e) => return Some(serve_error_response(&id, &e)),
         }
-    };
-    let kind = match build(&device) {
+    }
+    devices.sort_by(|a, b| a.name.cmp(&b.name));
+    devices.dedup_by(|a, b| a.name == b.name);
+    let kind = match build(&devices) {
         Ok(kind) => kind,
-        Err(detail) => {
-            let response = Response::fail(id, crate::proto::CODE_BAD_REQUEST, detail);
-            shared.metrics.record_rejected(response.code);
-            conn.send(&response);
-            return;
-        }
+        Err(detail) => return Some(Response::fail(id, CODE_BAD_REQUEST, detail)),
     };
     let job = EvalJob {
         id,
         kind,
-        device,
+        device: Arc::clone(&devices[0]),
         target_ms,
         conn: Arc::clone(conn),
         received,
     };
-    enqueue(shared, job);
-}
-
-/// Pushes one built job, answering 429/503 immediately when that fails.
-fn enqueue(shared: &Arc<Shared>, job: EvalJob) {
     match shared.queue.try_push(job) {
-        Ok(depth) => shared.metrics.record_queue_depth(depth),
-        Err(PushError::Full(job)) => {
-            let response = Response::fail(
-                job.id,
-                crate::proto::CODE_OVERLOADED,
-                format!(
-                    "overloaded: evaluation queue full (capacity {})",
-                    shared.queue.capacity()
-                ),
-            );
-            shared.metrics.record_rejected(response.code);
-            job.conn.send(&response);
+        Ok(depth) => {
+            shared.metrics.record_queue_depth(depth);
+            None
         }
-        Err(PushError::Closed(job)) => {
-            let response = Response::fail(job.id, CODE_SHUTTING_DOWN, "server is draining");
-            shared.metrics.record_rejected(response.code);
-            job.conn.send(&response);
-        }
+        Err(PushError::Full(job)) => Some(Response::fail(
+            job.id,
+            CODE_OVERLOADED,
+            format!(
+                "overloaded: evaluation queue full (capacity {})",
+                shared.queue.capacity()
+            ),
+        )),
+        Err(PushError::Closed(job)) => Some(Response::fail(
+            job.id,
+            CODE_SHUTTING_DOWN,
+            "server is draining",
+        )),
     }
-}
-
-/// Admission for `pareto`: resolve every named device (one unknown name
-/// fails the whole request with the same 404 a single-device command
-/// gets), canonicalize the set — sort by canonical name, dedup — and
-/// enqueue one search job. The canonical ordering is what makes the
-/// frontier bytes invariant under device-list permutations and alias
-/// spellings.
-fn admit_pareto(
-    shared: &Arc<Shared>,
-    conn: &Arc<ConnWriter>,
-    id: String,
-    devices: &[String],
-    target_ms: f64,
-    seed: u64,
-    received: Instant,
-) {
-    if shared.draining.load(Ordering::Acquire) {
-        let response = Response::fail(id, CODE_SHUTTING_DOWN, "server is draining");
-        shared.metrics.record_rejected(response.code);
-        conn.send(&response);
-        return;
-    }
-    let mut resolved: Vec<Arc<DeviceState>> = Vec::with_capacity(devices.len());
-    for name in devices {
-        match shared.state.device(name) {
-            Ok(device) => resolved.push(device),
-            Err(e) => {
-                let response = serve_error_response(&id, &e);
-                shared.metrics.record_rejected(response.code);
-                conn.send(&response);
-                return;
-            }
-        }
-    }
-    resolved.sort_by(|a, b| a.name.cmp(&b.name));
-    resolved.dedup_by(|a, b| a.name == b.name);
-    let device = Arc::clone(&resolved[0]);
-    enqueue(
-        shared,
-        EvalJob {
-            id,
-            kind: JobKind::Pareto {
-                devices: resolved,
-                seed,
-            },
-            device,
-            target_ms,
-            conn: Arc::clone(conn),
-            received,
-        },
-    );
 }
 
 /// Two jobs may share a micro-batch iff they score against the same device
@@ -705,19 +548,20 @@ fn compatible(a: &EvalJob, b: &EvalJob) -> bool {
         && a.target_ms.to_bits() == b.target_ms.to_bits()
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(batch) = shared.queue.pop_batch(shared.batch_max, compatible) {
+fn worker_loop(shared: &Shared) {
+    let options = shared.state.options();
+    while let Some(batch) = shared.queue.pop_batch(options.batch_max.max(1), compatible) {
         shared.metrics.record_queue_depth(shared.queue.len());
         shared.metrics.batches.incr();
         shared.metrics.batched_jobs.add(batch.len() as u64);
-        if shared.slow_eval_ms > 0 {
-            thread::sleep(Duration::from_millis(shared.slow_eval_ms));
+        if options.slow_eval_ms > 0 {
+            thread::sleep(Duration::from_millis(options.slow_eval_ms));
         }
         execute_batch(shared, batch);
     }
 }
 
-fn execute_batch(shared: &Arc<Shared>, batch: Vec<EvalJob>) {
+fn execute_batch(shared: &Shared, batch: Vec<EvalJob>) {
     let Some(first) = batch.first() else {
         return;
     };
@@ -744,7 +588,7 @@ fn execute_batch(shared: &Arc<Shared>, batch: Vec<EvalJob>) {
 }
 
 fn execute_scores(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     device: &Arc<DeviceState>,
     ctx: &EvalContext,
     batch: Vec<EvalJob>,
@@ -757,47 +601,32 @@ fn execute_scores(
         })
         .collect();
     let mut objective = MemoObjective::with_shared_cache(
-        ParallelObjective::new(device.evaluator(ctx), shared.pool_threads),
+        ParallelObjective::new(device.evaluator(ctx), shared.state.options().pool_threads),
         ctx.cache.clone(),
     );
     match objective.evaluate_batch(&archs) {
         Ok(evaluations) => {
             for (job, evaluation) in batch.into_iter().zip(evaluations) {
-                let result = Json::obj(vec![
-                    ("device", Json::Str(device.name.clone())),
-                    ("target_ms", Json::Num(ctx.target_ms)),
-                    ("score", Json::Num(evaluation.score)),
-                    ("accuracy", Json::Num(evaluation.accuracy)),
-                    ("latency_ms", Json::Num(evaluation.latency_ms)),
-                ]);
-                respond_evaluated(shared, &job, Response::ok(job.id.clone(), result));
+                let result = score_result(device, ctx.target_ms, &evaluation);
+                job.reply(shared, Response::ok(&job.id, result));
             }
         }
         Err(e) => {
             let detail = e.to_string();
             for job in batch {
-                respond_evaluated(
-                    shared,
-                    &job,
-                    Response::fail(job.id.clone(), CODE_INTERNAL, detail.clone()),
-                );
+                job.reply(shared, Response::fail(&job.id, CODE_INTERNAL, &detail));
             }
         }
     }
 }
 
-fn execute_search(
-    shared: &Arc<Shared>,
-    device: &Arc<DeviceState>,
-    ctx: &EvalContext,
-    job: EvalJob,
-) {
+fn execute_search(shared: &Shared, device: &Arc<DeviceState>, ctx: &EvalContext, job: EvalJob) {
     let JobKind::Search { seed } = job.kind else {
         unreachable!("execute_search only receives search jobs");
     };
     let config = shared.state.options().budget.evolution_config();
     let mut objective = MemoObjective::with_shared_cache(
-        ParallelObjective::new(device.evaluator(ctx), shared.pool_threads),
+        ParallelObjective::new(device.evaluator(ctx), shared.state.options().pool_threads),
         ctx.cache.clone(),
     );
     let mut rng = StdRng::seed_from_u64(seed);
@@ -812,17 +641,7 @@ fn execute_search(
                 ("device", Json::Str(device.name.clone())),
                 ("target_ms", Json::Num(ctx.target_ms)),
                 ("seed", Json::Num(seed as f64)),
-                (
-                    "arch",
-                    Json::Arr(
-                        outcome
-                            .best_arch
-                            .encode()
-                            .into_iter()
-                            .map(|g| Json::Num(g as f64))
-                            .collect(),
-                    ),
-                ),
+                ("arch", encode_arch(&outcome.best_arch.encode())),
                 ("arch_str", Json::Str(outcome.best_arch.to_string())),
                 ("score", Json::Num(outcome.best_evaluation.score)),
                 ("accuracy", Json::Num(outcome.best_evaluation.accuracy)),
@@ -832,15 +651,12 @@ fn execute_search(
                     Json::Num(outcome.history.len().saturating_sub(1) as f64),
                 ),
             ]);
-            respond_evaluated(shared, &job, Response::ok(job.id.clone(), result));
+            job.reply(shared, Response::ok(&job.id, result));
         }
-        Err(e) => {
-            respond_evaluated(
-                shared,
-                &job,
-                Response::fail(job.id.clone(), CODE_INTERNAL, e.to_string()),
-            );
-        }
+        Err(e) => job.reply(
+            shared,
+            Response::fail(&job.id, CODE_INTERNAL, e.to_string()),
+        ),
     }
 }
 
@@ -851,19 +667,20 @@ fn execute_search(
 /// encoding-sorted) is flagged.
 const MAX_PARETO_POINTS: usize = 64;
 
-fn execute_pareto(shared: &Arc<Shared>, job: EvalJob) {
+fn execute_pareto(shared: &Shared, job: EvalJob) {
     let JobKind::Pareto { devices, seed } = &job.kind else {
         unreachable!("execute_pareto only receives pareto jobs");
     };
     let seed = *seed;
-    let config = shared.state.options().budget.evolution_config();
+    let options = shared.state.options();
+    let config = options.budget.evolution_config();
     let mut per_device: Vec<(String, Box<dyn Objective>)> = Vec::with_capacity(devices.len());
     for device in devices {
         let ctx = device.eval_context(job.target_ms);
         per_device.push((
             device.name.clone(),
             Box::new(MemoObjective::with_shared_cache(
-                ParallelObjective::new(device.evaluator(&ctx), shared.pool_threads),
+                ParallelObjective::new(device.evaluator(&ctx), options.pool_threads),
                 ctx.cache.clone(),
             )),
         ));
@@ -882,16 +699,7 @@ fn execute_pareto(shared: &Arc<Shared>, job: EvalJob) {
                 .take(MAX_PARETO_POINTS)
                 .map(|p| {
                     Json::obj(vec![
-                        (
-                            "arch",
-                            Json::Arr(
-                                p.arch
-                                    .encode()
-                                    .into_iter()
-                                    .map(|g| Json::Num(g as f64))
-                                    .collect(),
-                            ),
-                        ),
+                        ("arch", encode_arch(&p.arch.encode())),
                         ("accuracy", Json::Num(p.eval.accuracy)),
                         (
                             "latencies_ms",
@@ -919,30 +727,16 @@ fn execute_pareto(shared: &Arc<Shared>, job: EvalJob) {
                 ("truncated", Json::Bool(total > MAX_PARETO_POINTS)),
                 ("frontier", Json::Arr(points)),
             ]);
-            respond_evaluated(shared, &job, Response::ok(job.id.clone(), result));
+            job.reply(shared, Response::ok(&job.id, result));
         }
-        Err(e) => {
-            respond_evaluated(
-                shared,
-                &job,
-                Response::fail(job.id.clone(), CODE_INTERNAL, e.to_string()),
-            );
-        }
+        Err(e) => job.reply(
+            shared,
+            Response::fail(&job.id, CODE_INTERNAL, e.to_string()),
+        ),
     }
 }
 
-fn respond_evaluated(shared: &Arc<Shared>, job: &EvalJob, response: Response) {
-    if response.code == CODE_OK {
-        shared
-            .metrics
-            .record_served(job.cmd(), ms_since(job.received));
-    } else {
-        shared.metrics.record_rejected(response.code);
-    }
-    job.conn.send(&response);
-}
-
-fn build_status(shared: &Arc<Shared>) -> Json {
+fn build_status(shared: &Shared) -> Json {
     let m = &shared.metrics;
     let devices: Vec<(String, Json)> = shared
         .state
@@ -980,10 +774,7 @@ fn build_status(shared: &Arc<Shared>) -> Json {
         .collect();
     Json::obj(vec![
         ("uptime_ms", Json::Num(m.uptime_ms() as f64)),
-        (
-            "draining",
-            Json::Bool(shared.draining.load(Ordering::Acquire)),
-        ),
+        ("draining", Json::Bool(shared.gate.is_draining())),
         (
             "budget",
             Json::Str(shared.state.options().budget.name().into()),
@@ -1093,6 +884,7 @@ fn build_status(shared: &Arc<Shared>) -> Json {
 mod tests {
     use super::*;
     use crate::metrics::{REJECTED, SERVED};
+    use crate::proto::MAX_FRAME_BYTES;
     use crate::Client;
 
     fn field(status: &Json, path: &[&str]) -> u64 {
@@ -1137,6 +929,10 @@ mod tests {
             format!(r#"{{"id":"h","cmd":"score","device":"tpu","target_ms":24,"arch":{arch}}}"#),
             r#"{"id":"i","cmd":"search","device":"edge","target_ms":-1,"seed":3}"#.to_string(),
             oversized,
+            r#"{"id":"j","cmd":"pareto","devices":["gpu","edge"],"target_ms":24,"seed":3}"#
+                .to_string(),
+            r#"{"id":"k","cmd":"pareto","devices":["edge","tpu"],"target_ms":24,"seed":3}"#
+                .to_string(),
         ];
         let mut client = Client::connect(addr).unwrap();
         for line in &requests {
@@ -1215,10 +1011,31 @@ mod tests {
                 _ => panic!("status has no {block} object"),
             }
         };
-        assert_eq!(sum("served"), 7);
+        assert_eq!(sum("served"), 8);
         assert_eq!(sum("served") + sum("rejected"), requests.len() as u64);
 
         client.shutdown().unwrap();
         daemon.join().unwrap().unwrap();
+    }
+
+    /// A fatal accept error drains like `shutdown` does: `run` returns the
+    /// error only after the gate reads draining, the queue is closed, and
+    /// the eval workers and the hot-reload watcher have joined.
+    #[test]
+    fn fatal_accept_error_drains_before_returning() {
+        let server = Server::bind(ServeOptions {
+            lut_watch_ms: 5,
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        // Nothing is connecting, so a nonblocking accept fails at once.
+        server.listener.set_nonblocking(true).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let err = server.run().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(shared.gate.is_draining());
+        assert!(shared.queue.is_closed());
+        // Only this handle is left: every worker and the watcher let go.
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 }

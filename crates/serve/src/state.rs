@@ -38,6 +38,7 @@
 //!   (and sibling shards sharing the dir) skip the work without risking
 //!   the determinism contract.
 
+use crate::listener::lock;
 use hsconas_accuracy::{AccuracyModel, SurrogateAccuracy};
 use hsconas_evo::{tradeoff_score, Evaluation, EvoError, SharedEvalCache};
 use hsconas_hwsim::DeviceSpec;
@@ -484,12 +485,6 @@ impl DeviceState {
             }
         }
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn load_snapshot(
