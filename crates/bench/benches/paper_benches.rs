@@ -371,6 +371,32 @@ fn bench_population_eval_prefix_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// The synthetic training batch render, at the trainers' shape (batch 8,
+/// 32×32): `batch` (a fresh tensor) and `render_batch` (into a reused
+/// buffer, as the double-buffered training loops call it). Elements are
+/// images.
+fn bench_data_render(c: &mut Criterion) {
+    let data = hsconas_data::SyntheticDataset::new(4, 32, 1);
+    let mut group = c.benchmark_group("data_render");
+    group.throughput(Throughput::Elements(8));
+    let mut start = 0u64;
+    group.bench_function("batch8_32x32", |b| {
+        b.iter(|| {
+            start += 8;
+            black_box(data.batch(8, start))
+        })
+    });
+    let mut buf = vec![0.0f32; 8 * 3 * 32 * 32];
+    group.bench_function("render_batch8_32x32", |b| {
+        b.iter(|| {
+            start += 8;
+            data.render_batch(start, &mut buf);
+            black_box(&buf);
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fig2,
@@ -386,6 +412,7 @@ criterion_group!(
     bench_conv2d_batch_parallel,
     bench_conv2d_depthwise,
     bench_ea_generation_parallel,
-    bench_population_eval_prefix_cache
+    bench_population_eval_prefix_cache,
+    bench_data_render
 );
 criterion_main!(benches);

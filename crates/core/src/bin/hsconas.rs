@@ -26,63 +26,174 @@ use hsconas_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One subcommand: its entry point and every argument it reads.
+struct Subcommand {
+    name: &'static str,
+    run: fn(&[String]) -> Result<(), String>,
+    /// Flags that take a value, space-separated.
+    values: &'static str,
+    /// Flags that stand alone, space-separated.
+    switches: &'static str,
+    /// Positional arguments it takes, at most.
+    positionals: usize,
+}
+
+const fn sub(
+    name: &'static str,
+    run: fn(&[String]) -> Result<(), String>,
+    values: &'static str,
+    switches: &'static str,
+    positionals: usize,
+) -> Subcommand {
+    Subcommand {
+        name,
+        run,
+        values,
+        switches,
+        positionals,
+    }
+}
+
+const SEARCH_VALUES: &str =
+    "--device --target-ms --layout --seed --out --telemetry --checkpoint --keep-last";
+const SERVE_VALUES: &str = "--host --port --state-dir --budget --devices --queue-cap \
+    --eval-workers --pool-threads --batch-max --lut-watch-ms --calibration-seed \
+    --test-slow-eval-ms --bench-table --telemetry --fleet --workers \
+    --fleet-startup-timeout-ms --health-ms --shard-timeout-ms";
+const BENCH_TABLE_VALUES: &str =
+    "--out --samples --seed --devices --state-dir --budget --calibration-seed --telemetry";
+const CLIENT_VALUES: &str =
+    "--addr --device --devices --target-ms --seed --arch --input-seed --batch";
+const COMPILE_VALUES: &str = "--arch -o --out --skeleton --classes --seed --warmup --telemetry";
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    sub("search", cmd_search, SEARCH_VALUES, "--fast --resume", 0),
+    sub("table", cmd_table, "--seed --out --telemetry", "--fast", 0),
+    sub("baselines", |_| cmd_baselines(), "", "", 0),
+    sub("measure", cmd_measure, "--model", "", 0),
+    sub("profile", cmd_profile, "--device --out --seed", "", 0),
+    sub("report", cmd_report, "", "", 1),
+    sub("ckpt", cmd_ckpt, "", "", 2),
+    sub("serve", cmd_serve, SERVE_VALUES, "--drain-workers", 0),
+    sub("bench-table", cmd_bench_table, BENCH_TABLE_VALUES, "", 0),
+    sub("client", cmd_client, CLIENT_VALUES, "", 1),
+    sub("compile", cmd_compile, COMPILE_VALUES, "--widest", 0),
+    sub(
+        "infer",
+        cmd_infer,
+        "--input-seed --batch --telemetry",
+        "",
+        1,
+    ),
+    sub(
+        "compare",
+        cmd_compare,
+        "--input-seed --batch --tolerance --telemetry",
+        "",
+        1,
+    ),
+];
+
+impl Subcommand {
+    fn takes_value(&self, arg: &str) -> bool {
+        self.values.split_whitespace().any(|f| f == arg)
+    }
+
+    fn is_switch(&self, arg: &str) -> bool {
+        self.switches.split_whitespace().any(|f| f == arg)
+    }
+
+    /// Refuses any argument this subcommand does not read: an unknown or
+    /// misspelt flag, a value flag with no value, or one positional
+    /// argument too many. Without this a typo silently runs the default.
+    fn check(&self, args: &[String]) -> Result<(), String> {
+        let mut positionals = 0;
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if self.takes_value(arg) {
+                if rest.next().is_none() {
+                    return Err(format!("{arg} needs a value"));
+                }
+            } else if self.is_switch(arg) {
+                continue;
+            } else if !arg.starts_with('-') && positionals < self.positionals {
+                positionals += 1;
+            } else {
+                return Err(format!("unknown argument '{arg}' for '{}'", self.name));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The running subcommand, so that [`flag`] and [`has_flag`] can assert
+/// in debug builds that every name they read is declared in
+/// [`SUBCOMMANDS`], which [`Subcommand::check`] trusts.
+static RUNNING: std::sync::OnceLock<&Subcommand> = std::sync::OnceLock::new();
+
+fn declared(name: &str) -> bool {
+    RUNNING
+        .get()
+        .is_none_or(|c| c.takes_value(name) || c.is_switch(name))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("search") => cmd_search(&args[1..]),
-        Some("table") => cmd_table(&args[1..]),
-        Some("baselines") => cmd_baselines(),
-        Some("measure") => cmd_measure(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("ckpt") => cmd_ckpt(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("bench-table") => cmd_bench_table(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("infer") => cmd_infer(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: hsconas <search|table|baselines|measure|report|ckpt|serve|bench-table|client|compile|infer|compare> [options]\n\
-                 \n\
-                 search    --device gpu|cpu|edge --target-ms N [--layout a|b] [--seed N] [--fast] [--out FILE] [--telemetry RUN.jsonl]\n\
-                 \x20         [--checkpoint DIR] [--resume] [--keep-last K]\n\
-                 table     [--fast] [--seed N] [--out FILE] [--telemetry RUN.jsonl]\n\
-                 baselines\n\
-                 measure   --model FILE\n\
-                 profile   --device gpu|cpu|edge --out FILE [--seed N]\n\
-                 report    RUN.jsonl\n\
-                 ckpt      inspect FILE\n\
-                 serve     [--host H] [--port N] [--state-dir DIR] [--budget fast|full] [--devices a,b]\n\
-                 \x20         [--queue-cap N] [--eval-workers N] [--pool-threads N] [--batch-max N]\n\
-                 \x20         [--lut-watch-ms N] [--bench-table FILE] [--telemetry RUN.jsonl]\n\
-                 \x20         [--fleet N | --workers H:P,H:P,...] [--health-ms N]\n\
-                 \x20         [--shard-timeout-ms N] [--drain-workers]\n\
-                 bench-table --out FILE [--devices a,b,c] [--samples N] [--seed N] [--state-dir DIR]\n\
-                 \x20         [--budget fast|full] [--calibration-seed N]\n\
-                 client    --addr HOST:PORT <status|shutdown|predict|score|search|pareto|infer> [--device D]\n\
-                 \x20         [--devices a,b,c] [--target-ms N] [--seed N] [--arch 0,9,1,3,...]\n\
-                 \x20         [--input-seed N] [--batch N]\n\
-                 compile   (--arch 0,9,1,3,... | --widest) -o model.hsart [--skeleton tiny|imagenet-a|imagenet-b]\n\
-                 \x20         [--classes N] [--seed N] [--warmup N]\n\
-                 infer     model.hsart [--input-seed N] [--batch N]\n\
-                 compare   model.hsart [--input-seed N] [--batch N] [--tolerance X]"
-            );
-            std::process::exit(2);
-        }
+    let Some(command) = args
+        .first()
+        .and_then(|name| SUBCOMMANDS.iter().find(|c| c.name == name.as_str()))
+    else {
+        usage();
     };
-    if let Err(e) = result {
+    if let Err(e) = command.check(&args[1..]) {
+        eprintln!("error: {e}");
+        usage();
+    }
+    RUNNING.get_or_init(|| command);
+    if let Err(e) = (command.run)(&args[1..]) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
 
+/// Prints the usage summary and exits with status 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: hsconas <search|table|baselines|measure|report|ckpt|serve|bench-table|client|compile|infer|compare> [options]\n\
+         \n\
+         search    --device gpu|cpu|edge --target-ms N [--layout a|b] [--seed N] [--fast] [--out FILE] [--telemetry RUN.jsonl]\n\
+         \x20         [--checkpoint DIR] [--resume] [--keep-last K]\n\
+         table     [--fast] [--seed N] [--out FILE] [--telemetry RUN.jsonl]\n\
+         baselines\n\
+         measure   --model FILE\n\
+         profile   --device gpu|cpu|edge --out FILE [--seed N]\n\
+         report    RUN.jsonl\n\
+         ckpt      inspect FILE\n\
+         serve     [--host H] [--port N] [--state-dir DIR] [--budget fast|full] [--devices a,b]\n\
+         \x20         [--queue-cap N] [--eval-workers N] [--pool-threads N] [--batch-max N]\n\
+         \x20         [--lut-watch-ms N] [--bench-table FILE] [--telemetry RUN.jsonl]\n\
+         \x20         [--fleet N | --workers H:P,H:P,...] [--health-ms N]\n\
+         \x20         [--shard-timeout-ms N] [--drain-workers]\n\
+         bench-table --out FILE [--devices a,b,c] [--samples N] [--seed N] [--state-dir DIR]\n\
+         \x20         [--budget fast|full] [--calibration-seed N]\n\
+         client    --addr HOST:PORT <status|shutdown|predict|score|search|pareto|infer> [--device D]\n\
+         \x20         [--devices a,b,c] [--target-ms N] [--seed N] [--arch 0,9,1,3,...]\n\
+         \x20         [--input-seed N] [--batch N]\n\
+         compile   (--arch 0,9,1,3,... | --widest) -o model.hsart [--skeleton tiny|imagenet-a|imagenet-b]\n\
+         \x20         [--classes N] [--seed N] [--warmup N]\n\
+         infer     model.hsart [--input-seed N] [--batch N]\n\
+         compare   model.hsart [--input-seed N] [--batch N] [--tolerance X]"
+    );
+    std::process::exit(2);
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
+    debug_assert!(declared(name), "flag {name} is not declared");
     args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
+    debug_assert!(declared(name), "switch {name} is not declared");
     args.iter().any(|a| a == name)
 }
 

@@ -164,6 +164,23 @@ pub fn run_real_pipeline_checkpointed(
     seed: u64,
     ckpt: Option<&CheckpointOptions>,
 ) -> Result<RealPipelineResult, PipelineError> {
+    let result = run_phases(config, seed, ckpt);
+    // The run's trainer, objective and subnet are dropped by now, and their
+    // buffers sit in this thread's activation arena. Release them at the
+    // pipeline boundary: a process that runs pipeline after pipeline would
+    // otherwise carry one run's pool into the next, and its footprint
+    // ratchets up.
+    hsconas_tensor::arena::clear();
+    result
+}
+
+/// The phases of [`run_real_pipeline_checkpointed`]; every tensor they
+/// make is dropped when this returns.
+fn run_phases(
+    config: &RealPipelineConfig,
+    seed: u64,
+    ckpt: Option<&CheckpointOptions>,
+) -> Result<RealPipelineResult, PipelineError> {
     let mut boundaries =
         Checkpointer::open(ckpt, Phase::Pipeline, || Ok(real_config_hash(config, seed)))?;
     let space = SearchSpace::tiny(config.classes);
@@ -275,6 +292,21 @@ mod tests {
         assert!((0.0..=1.0).contains(&result.inherited_accuracy));
         assert!((0.0..=1.0).contains(&result.from_scratch_accuracy));
         assert!(result.latency_ms > 0.0);
+    }
+
+    #[test]
+    fn pipelines_leave_the_arena_as_the_first_one_did() {
+        let config = RealPipelineConfig::smoke_test();
+        run_real_pipeline(&config, 3).unwrap();
+        let first = hsconas_tensor::arena::stats().pooled_bytes;
+        for run in 2..=4 {
+            run_real_pipeline(&config, 3).unwrap();
+            assert_eq!(
+                hsconas_tensor::arena::stats().pooled_bytes,
+                first,
+                "pipeline {run} grew the calling thread's arena"
+            );
+        }
     }
 
     #[test]

@@ -80,13 +80,9 @@ impl SyntheticDataset {
     /// Generates one sample deterministically from `(self.seed, index)`.
     /// Even indices round-robin class labels so every batch is balanced.
     pub fn sample(&self, index: u64) -> (Tensor, usize) {
-        let label = self.label(index);
-        let mut rng = SmallRng::new(
-            self.seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(index),
-        );
-        let image = self.render(label, &mut rng);
+        let r = self.resolution;
+        let mut image = Tensor::zeros([1, 3, r, r]);
+        let label = self.render_into(index, image.data_mut());
         (image, label)
     }
 
@@ -95,14 +91,28 @@ impl SyntheticDataset {
     pub fn batch(&self, n: usize, start_index: u64) -> (Tensor, Vec<usize>) {
         let r = self.resolution;
         let mut images = Tensor::zeros([n, 3, r, r]);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let (img, label) = self.sample(start_index + i as u64);
-            let dst_off = i * 3 * r * r;
-            images.data_mut()[dst_off..dst_off + 3 * r * r].copy_from_slice(img.data());
-            labels.push(label);
+        self.render_batch(start_index, images.data_mut());
+        (images, self.labels(n, start_index))
+    }
+
+    /// Renders the images of [`Self::batch`]`(n, start_index)` into `out`,
+    /// whose length `n * 3 * r * r` gives the batch size. Allocates
+    /// nothing, so it can fill a caller-owned buffer from another thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not a multiple of one image's length.
+    pub fn render_batch(&self, start_index: u64, out: &mut [f32]) {
+        let image_len = 3 * self.resolution * self.resolution;
+        assert_eq!(
+            out.len() % image_len,
+            0,
+            "buffer of {} floats is not a whole number of {image_len}-float images",
+            out.len()
+        );
+        for (i, image) in out.chunks_exact_mut(image_len).enumerate() {
+            self.render_into(start_index + i as u64, image);
         }
-        (images, labels)
     }
 
     /// The labels of [`Self::batch`]`(n, start_index)`, without rendering
@@ -116,9 +126,31 @@ impl SyntheticDataset {
         (index as usize) % self.num_classes
     }
 
+    /// The per-sample generator of sample `index`.
+    fn sample_rng(&self, index: u64) -> SmallRng {
+        SmallRng::new(
+            self.seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(index),
+        )
+    }
+
+    /// Renders sample `index` into `out`, one CHW image, and returns its
+    /// label.
+    fn render_into(&self, index: u64, out: &mut [f32]) -> usize {
+        let label = self.label(index);
+        self.render(label, &mut self.sample_rng(index), out);
+        label
+    }
+
     /// Renders one image of `label`'s grating pattern with per-sample
-    /// random phase, offset, and noise.
-    fn render(&self, label: usize, rng: &mut SmallRng) -> Tensor {
+    /// random phase, offset, and noise into `out` (CHW).
+    ///
+    /// The wave depends on `(y, x)` only, so it is computed once into the
+    /// last channel plane; channels 0 and 1 read it from there, and
+    /// channel 2 then overwrites it in place. Noise is drawn channel by
+    /// channel in row-major order.
+    fn render(&self, label: usize, rng: &mut SmallRng, out: &mut [f32]) {
         let r = self.resolution;
         let k = self.num_classes as f32;
         let angle = label as f32 * std::f32::consts::PI / k;
@@ -126,6 +158,43 @@ impl SyntheticDataset {
         let (dx, dy) = (angle.cos(), angle.sin());
         let phase = rng.next_f32() * std::f32::consts::TAU;
         // class tint: distinct RGB weights per class
+        let tint = [
+            0.5 + 0.5 * (label as f32 * 2.399).sin(),
+            0.5 + 0.5 * (label as f32 * 2.399 + 2.0).sin(),
+            0.5 + 0.5 * (label as f32 * 2.399 + 4.0).sin(),
+        ];
+        let scale = std::f32::consts::TAU * freq / r as f32;
+        let (front, wave) = out.split_at_mut(2 * r * r);
+        for (y, row) in wave.chunks_exact_mut(r).enumerate() {
+            for (x, w) in row.iter_mut().enumerate() {
+                *w = ((x as f32 * dx + y as f32 * dy) * scale + phase).sin();
+            }
+        }
+        for (plane, &t) in front.chunks_exact_mut(r * r).zip(&tint) {
+            for (v, &w) in plane.iter_mut().zip(wave.iter()) {
+                *v = w * t + rng.next_normal() as f32 * 0.25;
+            }
+        }
+        for w in wave.iter_mut() {
+            *w = *w * tint[2] + rng.next_normal() as f32 * 0.25;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-pixel render this crate shipped before the plane-slice
+    /// one, kept as the bit-identity reference: one `sin` per channel and
+    /// every element written through `at_mut`.
+    fn scalar_render(d: &SyntheticDataset, label: usize, rng: &mut SmallRng) -> Tensor {
+        let r = d.resolution;
+        let k = d.num_classes as f32;
+        let angle = label as f32 * std::f32::consts::PI / k;
+        let freq = 2.0 + (label % 3) as f32 * 1.5;
+        let (dx, dy) = (angle.cos(), angle.sin());
+        let phase = rng.next_f32() * std::f32::consts::TAU;
         let tint = [
             0.5 + 0.5 * (label as f32 * 2.399).sin(),
             0.5 + 0.5 * (label as f32 * 2.399 + 2.0).sin(),
@@ -144,11 +213,65 @@ impl SyntheticDataset {
         }
         img
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn render_is_bit_identical_to_scalar_loops() {
+        for classes in [1, 3, 4, 7, 10] {
+            for resolution in [1, 5, 8, 32] {
+                for seed in [0, 1, 42, u64::MAX] {
+                    let d = SyntheticDataset::new(classes, resolution, seed);
+                    let image_len = 3 * resolution * resolution;
+                    let (batch, labels) = d.batch(5, 17);
+                    for index in 17..22u64 {
+                        let label = d.label(index);
+                        let mut old_rng = d.sample_rng(index);
+                        let want = scalar_render(&d, label, &mut old_rng);
+                        // The RNG stream stays in step: both renders leave
+                        // the generator in the same state.
+                        let mut new_rng = d.sample_rng(index);
+                        let mut got = vec![0.0; image_len];
+                        d.render(label, &mut new_rng, &mut got);
+                        assert_eq!(
+                            new_rng.state(),
+                            old_rng.state(),
+                            "rng {classes}/{resolution}/{seed}/{index}"
+                        );
+                        assert_eq!(bits(&got), bits(want.data()));
+                        let (sample, sample_label) = d.sample(index);
+                        assert_eq!(sample_label, label);
+                        assert_eq!(bits(sample.data()), bits(want.data()));
+                        let i = (index - 17) as usize;
+                        assert_eq!(labels[i], label);
+                        assert_eq!(
+                            bits(&batch.data()[i * image_len..(i + 1) * image_len]),
+                            bits(want.data()),
+                            "batch image {i} at {classes}/{resolution}/{seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn render_batch_fills_a_caller_buffer_like_batch() {
+        let d = SyntheticDataset::new(4, 8, 11);
+        let (batch, _) = d.batch(3, 40);
+        let mut out = vec![f32::NAN; batch.len()];
+        d.render_batch(40, &mut out);
+        assert_eq!(bits(&out), bits(batch.data()));
+        d.render_batch(40, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number")]
+    fn render_batch_rejects_a_partial_image() {
+        SyntheticDataset::new(4, 8, 11).render_batch(0, &mut [0.0; 3 * 64 + 1]);
+    }
 
     #[test]
     fn deterministic_by_seed_and_index() {

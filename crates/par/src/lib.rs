@@ -237,9 +237,54 @@ where
     fan_out(threads, || queue.lock().next(), f);
 }
 
+/// Runs `foreground` on the calling thread while one pool worker runs
+/// `background`, and returns `foreground`'s result once both are done.
+///
+/// `foreground` runs outside the worker flag, so the dispatches inside it
+/// (convolution batches, GEMM row bands) still fan out. If no worker has
+/// started `background` by the time `foreground` returns, the caller runs
+/// it then; it runs exactly once either way. At one thread, or inside a
+/// dispatch, both run inline, `foreground` first.
+///
+/// `background` must write only into memory the caller owns and passes in
+/// (a buffer it fills, never a tensor it creates): what a worker
+/// allocates from its own arena joins the pool of whichever thread drops
+/// it.
+///
+/// # Panics
+///
+/// Re-raises a panic from either closure once both have finished.
+pub fn overlap<R>(background: impl FnOnce() + Send, foreground: impl FnOnce() -> R) -> R {
+    overlap_at(0, background, foreground)
+}
+
+/// [`overlap`] at an explicit thread count (`0` = default).
+fn overlap_at<R>(
+    threads: usize,
+    background: impl FnOnce() + Send,
+    foreground: impl FnOnce() -> R,
+) -> R {
+    let helpers = resolve_threads(threads, 2) - 1;
+    let background = Mutex::new(Some(background));
+    let mut foreground = Some(foreground);
+    let mut result = None;
+    pool::fork_with(
+        helpers,
+        &|| {
+            let task = background.lock().take();
+            if let Some(task) = task {
+                task();
+            }
+        },
+        &mut || result = foreground.take().map(|f| f()),
+    );
+    result.expect("foreground ran")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn par_map_preserves_order() {
@@ -295,6 +340,111 @@ mod tests {
         let inline = par_map_indices(4, 1, |_| in_worker());
         assert!(inline.iter().all(|&f| !f));
         assert!(!in_worker(), "flag must not leak back to the dispatcher");
+    }
+
+    #[test]
+    fn overlap_runs_foreground_on_the_caller_and_background_once() {
+        let caller = std::thread::current().id();
+        let runs = AtomicUsize::new(0);
+        for _ in 0..50 {
+            let (fg_thread, fg_flag) = overlap(
+                || {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                },
+                || (std::thread::current().id(), in_worker()),
+            );
+            assert_eq!(fg_thread, caller, "foreground left the caller");
+            assert!(!fg_flag, "foreground must run outside the worker flag");
+        }
+        assert_eq!(runs.load(Ordering::Relaxed), 50);
+        assert!(!in_worker(), "flag must not leak back to the caller");
+    }
+
+    #[test]
+    fn overlap_background_writes_a_caller_buffer() {
+        let mut buf = vec![0u32; 16];
+        let sum = overlap(
+            || buf.iter_mut().enumerate().for_each(|(i, v)| *v = i as u32),
+            || (0..10u32).sum::<u32>(),
+        );
+        assert_eq!(sum, 45);
+        assert_eq!(buf, (0..16).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn overlap_foreground_dispatches_still_fan_out() {
+        let (fg_flag, out) = overlap(
+            || std::thread::sleep(std::time::Duration::from_millis(5)),
+            || {
+                (
+                    in_worker(),
+                    par_map_indices(64, 4, |i| (i * i, in_worker())),
+                )
+            },
+        );
+        let want: Vec<usize> = (0..64).map(|i| i * i).collect();
+        assert_eq!(out.iter().map(|r| r.0).collect::<Vec<_>>(), want);
+        // The foreground is unflagged, so only a real dispatch flags the
+        // items; inline they would read false.
+        assert!(!fg_flag);
+        assert!(out.iter().all(|r| r.1), "nested par_map ran inline");
+    }
+
+    #[test]
+    fn overlap_reraises_a_panic_after_both_sides_finish() {
+        let done = AtomicUsize::new(0);
+        let fg_panics = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            overlap(
+                || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+                || panic!("foreground"),
+            )
+        }));
+        assert!(fg_panics.is_err());
+        assert_eq!(done.load(Ordering::SeqCst), 1, "background cut short");
+
+        let bg_panics = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            overlap(
+                || panic!("background"),
+                || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        assert!(bg_panics.is_err());
+        assert_eq!(done.load(Ordering::SeqCst), 2, "foreground cut short");
+    }
+
+    #[test]
+    fn overlap_runs_inline_at_one_thread_and_in_a_worker() {
+        let caller = std::thread::current().id();
+        let inline = |threads: usize, order: &Mutex<Vec<&str>>| {
+            overlap_at(
+                threads,
+                || order.lock().push("background"),
+                || {
+                    order.lock().push("foreground");
+                    std::thread::current().id()
+                },
+            )
+        };
+        // Inside a dispatch: both sides on the participant, in order.
+        let nested = par_map_indices(2, 2, |_| {
+            let order = Mutex::new(Vec::new());
+            let here = std::thread::current().id();
+            (inline(2, &order) == here, order.into_inner())
+        });
+        for (same_thread, order) in nested {
+            assert!(same_thread);
+            assert_eq!(order, ["foreground", "background"]);
+        }
+        // At one thread both stay on the caller, in the same order.
+        let order = Mutex::new(Vec::new());
+        assert_eq!(inline(1, &order), caller);
+        assert_eq!(order.into_inner(), ["foreground", "background"]);
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! A dispatch ([`fork`]) lives on the dispatching thread's stack. It
 //! queues one job per helper, each a reference to that stack record, and
 //! then runs its own share of the work on the calling thread, claiming
-//! items from the same counter as the helpers. A dispatch therefore
-//! finishes even when every worker is busy with another dispatcher's
-//! jobs. When its share is done, the dispatcher takes back the jobs no
-//! worker has started and waits for the ones that have. Only then does it
-//! return, or re-raise the first panic any participant caught.
+//! items from the same counter as the helpers ([`fork_with`] first runs a
+//! caller-side closure of its own, outside the worker flag). A dispatch
+//! therefore finishes even when every worker is busy with another
+//! dispatcher's jobs. When its share is done, the dispatcher takes back
+//! the jobs no worker has started and waits for the ones that have. Only
+//! then does it return, or re-raise the first panic any participant
+//! caught.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -70,7 +72,12 @@ impl Dispatch<'_> {
     /// panic into `self.panic`.
     fn participate(&self) {
         let _flag = WorkerFlag::enter();
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(self.work)) {
+        self.run_caught(self.work);
+    }
+
+    /// Runs `f`, catching a panic into `self.panic`.
+    fn run_caught(&self, f: impl FnOnce()) {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
             let mut first = lock(&self.panic);
             if first.is_none() {
                 *first = Some(payload);
@@ -148,6 +155,16 @@ fn worker_main() {
 /// is re-raised here, after every queued job has finished or been taken
 /// back.
 pub(crate) fn fork(helpers: usize, work: &(dyn Fn() + Sync)) {
+    fork_with(helpers, work, &mut || {});
+}
+
+/// [`fork`], with `caller` run on the calling thread before it joins
+/// `work`. `caller` runs outside the worker flag, so dispatches made
+/// inside it fan out as usual, while the helpers already run `work`. A
+/// panic in `caller` is caught like one in `work`: the caller still
+/// joins `work`, and the panic is re-raised once every participant is
+/// done.
+pub(crate) fn fork_with(helpers: usize, work: &(dyn Fn() + Sync), caller: &mut dyn FnMut()) {
     let dispatch = Dispatch {
         work,
         scope: hsconas_telemetry::current_scope(),
@@ -159,10 +176,10 @@ pub(crate) fn fork(helpers: usize, work: &(dyn Fn() + Sync)) {
     // beyond the lifetime the type system can see. This function neither
     // returns nor unwinds while a job refers to `dispatch`: jobs are queued
     // after the last call that can panic (spawning a worker), the caller's
-    // own share runs under `catch_unwind`, lock poisoning is ignored,
-    // queued jobs are taken back under the pool lock, and the wait ends
-    // only when every started job has decremented `pending`, which a worker
-    // does as its last use of the job, under the same lock.
+    // closure and its own share run under `catch_unwind`, lock poisoning
+    // is ignored, queued jobs are taken back under the pool lock, and the
+    // wait ends only when every started job has decremented `pending`,
+    // which a worker does as its last use of the job, under the same lock.
     let job: Job = unsafe { std::mem::transmute::<&Dispatch<'_>, Job>(&dispatch) };
     {
         let mut state = lock(&POOL.state);
@@ -178,6 +195,7 @@ pub(crate) fn fork(helpers: usize, work: &(dyn Fn() + Sync)) {
     for _ in 0..helpers {
         POOL.queued.notify_one();
     }
+    dispatch.run_caught(caller);
     dispatch.participate();
 
     let mut state = lock(&POOL.state);

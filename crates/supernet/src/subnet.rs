@@ -13,6 +13,7 @@
 //! with the ordinary optimizer and has no supernet machinery attached.
 
 use crate::mixed::build_operator;
+use crate::trainer::for_each_batch;
 use crate::SupernetError;
 use hsconas_data::SyntheticDataset;
 use hsconas_nn::{
@@ -109,15 +110,16 @@ pub fn train_from_scratch(
     let mut optimizer = Sgd::paper_defaults();
     let mut loss_fn = SoftmaxCrossEntropy::new();
     let mut losses = Vec::with_capacity(steps);
-    for step in 0..steps {
-        let (batch, labels) = data.batch(batch_size, (step * batch_size) as u64);
-        let logits = net.forward(&batch, true)?;
-        let loss = loss_fn.forward(&logits, &labels)?;
+    let index = |step: usize| (step * batch_size) as u64;
+    for_each_batch(data, batch_size, 0..steps, index, |step, batch, labels| {
+        let logits = net.forward(batch, true)?;
+        let loss = loss_fn.forward(&logits, labels)?;
         let grad = loss_fn.backward()?;
         net.backward(&grad)?;
         optimizer.step(net, schedule.lr(step));
         losses.push(loss);
-    }
+        Ok(())
+    })?;
     // held-out evaluation
     let mut correct = 0.0;
     let batches = 4;

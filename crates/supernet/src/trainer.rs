@@ -9,6 +9,47 @@ use hsconas_nn::{BnMode, CosineSchedule, Sgd, SoftmaxCrossEntropy};
 use hsconas_space::{Arch, SearchSpace};
 use hsconas_tensor::rng::SmallRng;
 use hsconas_tensor::Tensor;
+use std::ops::Range;
+
+/// Feeds the training batches `data.batch(batch_size, index(s))`, for `s`
+/// in `steps`, to `step`, double-buffered: while step `s` runs on the
+/// calling thread, a pool worker renders batch `s + 1` into a second
+/// buffer the caller owns ([`hsconas_par::overlap`]). Rendering is a pure
+/// function of the sample index, so `step` sees exactly the batches the
+/// serial loop would make, at any thread count.
+///
+/// # Errors
+///
+/// Stops at, and returns, the first error `step` returns.
+pub(crate) fn for_each_batch(
+    data: &SyntheticDataset,
+    batch_size: usize,
+    steps: Range<usize>,
+    index: impl Fn(usize) -> u64,
+    mut step: impl FnMut(usize, &Tensor, &[usize]) -> Result<(), SupernetError>,
+) -> Result<(), SupernetError> {
+    if steps.is_empty() {
+        return Ok(());
+    }
+    let r = data.resolution();
+    let mut current = Tensor::zeros([batch_size, 3, r, r]);
+    let mut next = Tensor::zeros([batch_size, 3, r, r]);
+    data.render_batch(index(steps.start), current.data_mut());
+    for s in steps.clone() {
+        let labels = data.labels(batch_size, index(s));
+        let prefetch = (s + 1 < steps.end).then(|| (index(s + 1), next.data_mut()));
+        hsconas_par::overlap(
+            || {
+                if let Some((start, buf)) = prefetch {
+                    data.render_batch(start, buf);
+                }
+            },
+            || step(s, &current, &labels),
+        )?;
+        std::mem::swap(&mut current, &mut next);
+    }
+    Ok(())
+}
 
 /// Training-mode forwards used to recalibrate batch-norm statistics before
 /// scoring a subnet.
@@ -292,42 +333,51 @@ impl SupernetTrainer {
             }
             None => (0, rand::rngs::StdRng::seed_from_u64(rng.next_u64())),
         };
-        for step in start..steps {
-            let _step_span = hsconas_telemetry::span!("supernet.step", step = self.steps_done);
-            let (batch, labels) = data.batch(
-                self.config.batch_size,
-                (self.steps_done * self.config.batch_size) as u64,
-            );
-            let batch = if self.config.augment_pad > 0 {
-                augment(&batch, self.config.augment_pad, rng)
-            } else {
-                batch
-            };
-            let arch = space.sample(&mut arch_rng);
-            let logits = self.net.forward(&batch, &arch, true)?;
-            let loss = loss_fn.forward(&logits, &labels)?;
-            let grad = loss_fn.backward()?;
-            self.net.backward(&grad)?;
-            let lr = schedule.lr(step);
-            self.optimizer.step(&mut SupernetParams(&mut self.net), lr);
-            hsconas_telemetry::gauge_set("supernet.loss", loss as f64);
-            self.history.push(StepRecord {
-                step: self.steps_done,
-                loss,
-                lr,
-            });
-            self.steps_done += 1;
-            if ckpt_interval > 0 && (step + 1) % ckpt_interval == 0 && step + 1 < steps {
-                let (data_rng_state, data_rng_spare) = rng.state();
-                let cursor = TrainCursor {
-                    step_in_call: (step + 1) as u64,
-                    arch_rng: arch_rng.state(),
-                    data_rng_state,
-                    data_rng_spare,
+        let batch_size = self.config.batch_size;
+        // Step `step` of the call trains on the batch at cursor `steps_done`.
+        let entry = self.steps_done;
+        let index = move |step: usize| ((entry + step - start) * batch_size) as u64;
+        for_each_batch(
+            data,
+            batch_size,
+            start..steps,
+            index,
+            |step, batch, labels| {
+                let _step_span = hsconas_telemetry::span!("supernet.step", step = self.steps_done);
+                let augmented;
+                let batch = if self.config.augment_pad > 0 {
+                    augmented = augment(batch, self.config.augment_pad, rng);
+                    &augmented
+                } else {
+                    batch
                 };
-                on_ckpt(self, &cursor)?;
-            }
-        }
+                let arch = space.sample(&mut arch_rng);
+                let logits = self.net.forward(batch, &arch, true)?;
+                let loss = loss_fn.forward(&logits, labels)?;
+                let grad = loss_fn.backward()?;
+                self.net.backward(&grad)?;
+                let lr = schedule.lr(step);
+                self.optimizer.step(&mut SupernetParams(&mut self.net), lr);
+                hsconas_telemetry::gauge_set("supernet.loss", loss as f64);
+                self.history.push(StepRecord {
+                    step: self.steps_done,
+                    loss,
+                    lr,
+                });
+                self.steps_done += 1;
+                if ckpt_interval > 0 && (step + 1) % ckpt_interval == 0 && step + 1 < steps {
+                    let (data_rng_state, data_rng_spare) = rng.state();
+                    let cursor = TrainCursor {
+                        step_in_call: (step + 1) as u64,
+                        arch_rng: arch_rng.state(),
+                        data_rng_state,
+                        data_rng_spare,
+                    };
+                    on_ckpt(self, &cursor)?;
+                }
+                Ok(())
+            },
+        )?;
         // Weights changed: every cached prefix activation is stale.
         self.clear_prefix_cache();
         Ok(())

@@ -207,6 +207,63 @@ fn supernet_evaluation_is_identical_across_cache_and_threads() {
     pack_cache::clear();
 }
 
+/// Both training loops double-buffer their batches: while step `s` runs,
+/// a pool worker renders batch `s + 1` (`hsconas_par::overlap`). The loss
+/// history and every parameter bit must be the same at one thread, where
+/// rendering runs inline, and at two, where it runs beside the step.
+#[test]
+fn training_is_identical_at_one_and_two_threads() {
+    use hsconas_data::SyntheticDataset;
+    use hsconas_nn::Layer;
+    use hsconas_supernet::subnet::{build_subnet, train_from_scratch};
+    use hsconas_supernet::{Supernet, SupernetTrainer, TrainConfig};
+    use hsconas_tensor::rng::SmallRng;
+
+    let space = SearchSpace::tiny(4);
+    let data = SyntheticDataset::new(4, 32, 31);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+
+    let run = |threads: usize| {
+        hsconas_par::set_default_threads(threads);
+        let mut rng = SmallRng::new(32);
+        let net = Supernet::build(space.skeleton(), &mut rng).unwrap();
+        let mut trainer = SupernetTrainer::new(net, TrainConfig::quick_test());
+        let mut train_rng = SmallRng::new(33);
+        // A second call continues the batch stream where the first ended.
+        trainer
+            .train_steps(&space, &data, 5, 0.05, &mut train_rng)
+            .unwrap();
+        trainer
+            .train_steps(&space, &data, 3, 0.01, &mut train_rng)
+            .unwrap();
+        let supernet_losses: Vec<f32> = trainer.history().iter().map(|r| r.loss).collect();
+        let supernet_params = bits(&trainer.checkpoint().params.concat());
+
+        let mut scratch_rng = SmallRng::new(34);
+        let mut net = build_subnet(space.skeleton(), &Arch::widest(4), &mut scratch_rng).unwrap();
+        let scratch = train_from_scratch(&mut net, &data, 6, 8, 0.08, &mut scratch_rng).unwrap();
+        let mut scratch_params = Vec::new();
+        net.visit_params(&mut |p, _, _| scratch_params.extend(bits(p.data())));
+        (
+            bits(&supernet_losses),
+            supernet_params,
+            bits(&scratch.losses),
+            scratch.accuracy.to_bits(),
+            scratch_params,
+        )
+    };
+
+    let serial = run(1);
+    let overlapped = run(2);
+    hsconas_par::set_default_threads(0);
+    assert_eq!(serial.0.len(), 8);
+    assert_eq!(serial.0, overlapped.0, "supernet loss history");
+    assert_eq!(serial.1, overlapped.1, "supernet parameters");
+    assert_eq!(serial.2, overlapped.2, "from-scratch loss history");
+    assert_eq!(serial.3, overlapped.3, "from-scratch accuracy");
+    assert_eq!(serial.4, overlapped.4, "from-scratch parameters");
+}
+
 /// Telemetry is observation-only: installing a sink (which captures every
 /// span and metric flush the search emits) must not change a single byte
 /// of the result, at one worker thread or eight. This is the contract that
