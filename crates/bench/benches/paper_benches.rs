@@ -254,31 +254,60 @@ fn bench_conv2d_batch_parallel(c: &mut Criterion) {
 }
 
 /// Depthwise convolution (forward + backward) on the direct depthwise
-/// kernels, at the search space's smallest and largest kernel sizes.
+/// kernels: 48 channels at batch 16 with the search space's smallest and
+/// largest kernel sizes, and the tiny net's hottest depthwise shape
+/// (8 channels on a 16×16 plane, stride 2, k 7, batch 8).
 fn bench_conv2d_depthwise(c: &mut Criterion) {
     use hsconas_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dParams};
     use hsconas_tensor::Tensor;
-    for kernel in [3usize, 7] {
+    for (channels, kernel, stride, batch, label) in [
+        (48, 3, 1, 16, "k3_batch16"),
+        (48, 7, 1, 16, "k7_batch16"),
+        (8, 7, 2, 8, "8ch_k7_s2_batch8"),
+    ] {
         let params = Conv2dParams {
-            c_in: 48,
-            c_out: 48,
+            c_in: channels,
+            c_out: channels,
             kernel,
-            stride: 1,
+            stride,
             pad: kernel / 2,
-            groups: 48,
+            groups: channels,
         };
         let mut rng = hsconas_tensor::rng::SmallRng::new(10);
-        let input = Tensor::randn([16, 48, 16, 16], 1.0, &mut rng);
+        let input = Tensor::randn([batch, channels, 16, 16], 1.0, &mut rng);
         let weight = Tensor::randn(params.weight_shape(), 0.1, &mut rng);
         let out = conv2d_forward(&input, &weight, &params).unwrap();
         let grad_out = Tensor::full(out.shape(), 1.0);
-        c.bench_function(&format!("conv2d_dw_fwd_k{kernel}_batch16"), |b| {
+        c.bench_function(&format!("conv2d_dw_fwd_{label}"), |b| {
             b.iter(|| black_box(conv2d_forward(&input, &weight, &params).unwrap()))
         });
-        c.bench_function(&format!("conv2d_dw_bwd_k{kernel}_batch16"), |b| {
+        c.bench_function(&format!("conv2d_dw_bwd_{label}"), |b| {
             b.iter(|| black_box(conv2d_backward(&input, &weight, &grad_out, &params).unwrap()))
         });
     }
+}
+
+/// Pointwise backward at the tiny net's head: 64 → 128 channels on a 1×1
+/// plane at batch 8, whose per-image weight gradient is a `k = 1` `A·Bᵀ`.
+fn bench_conv2d_pointwise_head(c: &mut Criterion) {
+    use hsconas_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dParams};
+    use hsconas_tensor::Tensor;
+    let params = Conv2dParams {
+        c_in: 64,
+        c_out: 128,
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+        groups: 1,
+    };
+    let mut rng = hsconas_tensor::rng::SmallRng::new(11);
+    let input = Tensor::randn([8, 64, 1, 1], 1.0, &mut rng);
+    let weight = Tensor::randn(params.weight_shape(), 0.1, &mut rng);
+    let out = conv2d_forward(&input, &weight, &params).unwrap();
+    let grad_out = Tensor::randn(out.shape(), 1.0, &mut rng);
+    c.bench_function("conv2d_pw_bwd_64to128_1x1_batch8", |b| {
+        b.iter(|| black_box(conv2d_backward(&input, &weight, &grad_out, &params).unwrap()))
+    });
 }
 
 /// One EA generation's worth of candidate evaluations, serial vs fanned
@@ -411,6 +440,7 @@ criterion_group!(
     bench_matmul_tiled,
     bench_conv2d_batch_parallel,
     bench_conv2d_depthwise,
+    bench_conv2d_pointwise_head,
     bench_ea_generation_parallel,
     bench_population_eval_prefix_cache,
     bench_data_render

@@ -40,10 +40,9 @@ impl Layer for Relu {
             ));
         }
         let mut g = grad_out.clone();
+        // A select, not a branch on the mask: same bits, and it vectorizes.
         for (v, &keep) in g.data_mut().iter_mut().zip(mask) {
-            if !keep {
-                *v = 0.0;
-            }
+            *v = if keep { *v } else { 0.0 };
         }
         Ok(g)
     }
@@ -78,6 +77,31 @@ mod tests {
         let g = Tensor::full([1, 1, 1, 4], 1.0);
         let gi = relu.backward(&g).unwrap();
         assert_eq!(gi.data(), &[0.0, 1.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn backward_select_matches_branch_bit_for_bit() {
+        let mut rng = hsconas_tensor::rng::SmallRng::new(3);
+        let mut x = Tensor::randn([2, 3, 5, 5], 1.0, &mut rng);
+        let mut g = Tensor::randn(x.shape(), 1.0, &mut rng);
+        // Zeros of both signs in the input and in the gradient.
+        x.data_mut()[..4].copy_from_slice(&[0.0, -0.0, 0.0, -0.0]);
+        g.data_mut()[..4].copy_from_slice(&[-0.0, 0.0, 1.0, -1.0]);
+        g.data_mut()[10] = -0.0;
+        let mut relu = Relu::new();
+        relu.forward(&x, true).unwrap();
+        let got = relu.backward(&g).unwrap();
+        // The branch the select replaced.
+        let mut want = g.clone();
+        for (v, &xv) in want.data_mut().iter_mut().zip(x.data()) {
+            let keep = xv > 0.0;
+            if !keep {
+                *v = 0.0;
+            }
+        }
+        for (a, b) in got.data().iter().zip(want.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

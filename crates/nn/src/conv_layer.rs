@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, LayerExport, ParamVisitor};
 use crate::NnError;
-use hsconas_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dParams};
+use hsconas_tensor::conv::{conv2d_backward, conv2d_forward, conv2d_weight_grad, Conv2dParams};
 use hsconas_tensor::rng::SmallRng;
 use hsconas_tensor::Tensor;
 
@@ -103,6 +103,16 @@ impl Layer for Conv2d {
         Ok(grads.input)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        let input = self
+            .cache_input
+            .as_ref()
+            .ok_or(NnError::MissingForwardCache { layer: "Conv2d" })?;
+        let grad = conv2d_weight_grad(input, &self.weight, grad_out, &self.params)?;
+        self.grad.axpy(1.0, &grad)?;
+        Ok(())
+    }
+
     fn visit_params(&mut self, f: &mut ParamVisitor) {
         f(&mut self.weight, &mut self.grad, true);
     }
@@ -186,6 +196,29 @@ mod tests {
         assert!((norm2 - 2.0 * norm1).abs() < 1e-4);
         conv.zero_grad();
         conv.visit_params(&mut |_, grad, _| assert_eq!(grad.norm(), 0.0));
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_gradient_bits() {
+        let mut rng = SmallRng::new(8);
+        let mut full = Conv2d::new(3, 8, 3, 2, 1, 1, &mut rng);
+        let mut alone = full.clone();
+        let x = Tensor::randn([4, 3, 16, 16], 1.0, &mut rng);
+        let y = full.forward(&x, true).unwrap();
+        alone.forward(&x, true).unwrap();
+        let g = Tensor::randn(y.shape(), 1.0, &mut rng);
+        for _ in 0..2 {
+            full.backward(&g).unwrap();
+            alone.backward_params(&g).unwrap();
+        }
+        let bits = |conv: &mut Conv2d| {
+            let mut out = Vec::new();
+            conv.visit_params(&mut |_, grad, _| {
+                out.extend(grad.data().iter().map(|v| v.to_bits()));
+            });
+            out
+        };
+        assert_eq!(bits(&mut full), bits(&mut alone));
     }
 
     #[test]

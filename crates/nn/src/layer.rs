@@ -130,6 +130,18 @@ pub trait Layer {
     /// forward pass, or a shape error if `grad_out` is inconsistent.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError>;
 
+    /// [`Layer::backward`] for a network's first layer, whose input
+    /// gradient nothing reads: accumulates the same parameter gradients,
+    /// bit for bit, and may skip computing the input gradient. The default
+    /// runs `backward` and drops its result.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        self.backward(grad_out).map(drop)
+    }
+
     /// Visits every `(parameter, gradient, decay)` triple owned by this
     /// layer, in a deterministic order.
     fn visit_params(&mut self, f: &mut ParamVisitor);

@@ -68,6 +68,20 @@ impl Layer for Sequential {
         Ok(g)
     }
 
+    /// Runs the first layer's [`Layer::backward_params`] after the rest's
+    /// full backward: the input gradient of a network's first layer is
+    /// never read, so its input-gradient products are skipped.
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out))?);
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_out))
+    }
+
     fn visit_params(&mut self, f: &mut ParamVisitor) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -120,6 +134,35 @@ mod tests {
         let y = net.forward(&x, true).unwrap();
         let g = net.backward(&Tensor::full(y.shape(), 1.0)).unwrap();
         assert_eq!(g.shape(), x.shape());
+    }
+
+    #[test]
+    fn backward_params_matches_backward_gradient_bits() {
+        let build = || {
+            let mut rng = SmallRng::new(4);
+            Sequential::new()
+                .push(Conv2d::new(3, 4, 3, 2, 1, 1, &mut rng))
+                .push(Relu::new())
+                .push(Conv2d::pointwise(4, 3, &mut rng))
+        };
+        let (mut full, mut alone) = (build(), build());
+        let mut rng = SmallRng::new(5);
+        let x = Tensor::randn([2, 3, 8, 8], 1.0, &mut rng);
+        let y = full.forward(&x, true).unwrap();
+        alone.forward(&x, true).unwrap();
+        let g = Tensor::randn(y.shape(), 1.0, &mut rng);
+        full.backward(&g).unwrap();
+        alone.backward_params(&g).unwrap();
+        let bits = |net: &mut Sequential| {
+            let mut out = Vec::new();
+            net.visit_params(&mut |_, grad, _| {
+                out.extend(grad.data().iter().map(|v| v.to_bits()));
+            });
+            out
+        };
+        let want = bits(&mut full);
+        assert!(want.iter().any(|&b| b != 0));
+        assert_eq!(want, bits(&mut alone));
     }
 
     #[test]

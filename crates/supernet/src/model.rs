@@ -186,17 +186,20 @@ impl Supernet {
         Ok(self.head.forward(input, train)?)
     }
 
-    /// Backward pass along the path of the last training forward.
+    /// Backward pass along the path of the last training forward: it
+    /// accumulates every parameter gradient on the path. The input
+    /// gradient is not computed (nothing reads it), so the stem conv runs
+    /// [`Layer::backward_params`].
     ///
     /// # Errors
     ///
     /// Returns [`SupernetError`] if no training forward preceded this call.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<Tensor, SupernetError> {
+    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<(), SupernetError> {
         let mut g = self.head.backward(grad_logits)?;
         for layer in self.layers.iter_mut().rev() {
             g = layer.backward_active(&g)?;
         }
-        Ok(self.stem.backward(&g)?)
+        Ok(self.stem.backward_params(&g)?)
     }
 
     /// Visits every parameter (stem, all candidates of all layers, head).
@@ -296,15 +299,54 @@ mod tests {
         }
     }
 
+    /// Every parameter gradient, as bits, in visiting order.
+    fn grad_bits(net: &mut Supernet) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_params(&mut |_, g, _| bits.extend(g.data().iter().map(|v| v.to_bits())));
+        bits
+    }
+
     #[test]
-    fn backward_after_forward_reaches_input() {
+    fn backward_after_forward_reaches_stem_weights() {
         let mut net = tiny_supernet(4);
         let mut rng = SmallRng::new(5);
-        let x = Tensor::randn([1, 3, 32, 32], 1.0, &mut rng);
+        let x = Tensor::randn([2, 3, 32, 32], 1.0, &mut rng);
         let arch = Arch::widest(4);
         let y = net.forward(&x, &arch, true).unwrap();
-        let g = net.backward(&Tensor::full(y.shape(), 1.0)).unwrap();
-        assert_eq!(g.shape(), x.shape());
+        net.backward(&Tensor::randn(y.shape(), 1.0, &mut rng))
+            .unwrap();
+        let mut stem = Vec::new();
+        net.stem
+            .visit_params(&mut |_, g, _| stem.extend_from_slice(g.data()));
+        assert!(stem.iter().all(|v| v.is_finite()));
+        assert!(
+            stem.iter().any(|&v| v != 0.0),
+            "no gradient reached the stem"
+        );
+    }
+
+    #[test]
+    fn stem_skip_keeps_parameter_gradients_bit_identical() {
+        let mut rng = SmallRng::new(12);
+        let x = Tensor::randn([3, 3, 32, 32], 1.0, &mut rng);
+        let space = SearchSpace::tiny(4);
+        use rand::SeedableRng;
+        let mut arch_rng = rand::rngs::StdRng::seed_from_u64(13);
+        for _ in 0..3 {
+            let arch = space.sample(&mut arch_rng);
+            let (mut skip, mut full) = (tiny_supernet(14), tiny_supernet(14));
+            let y = skip.forward(&x, &arch, true).unwrap();
+            full.forward(&x, &arch, true).unwrap();
+            let dy = Tensor::randn(y.shape(), 1.0, &mut rng);
+            skip.backward(&dy).unwrap();
+            // The full backward, down to the input gradient.
+            let mut g = full.head.backward(&dy).unwrap();
+            for layer in full.layers.iter_mut().rev() {
+                g = layer.backward_active(&g).unwrap();
+            }
+            assert_eq!(full.stem.backward(&g).unwrap().shape(), x.shape());
+            assert_eq!(grad_bits(&mut skip), grad_bits(&mut full), "{arch}");
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub fn train_from_scratch(
         let logits = net.forward(batch, true)?;
         let loss = loss_fn.forward(&logits, labels)?;
         let grad = loss_fn.backward()?;
-        net.backward(&grad)?;
+        net.backward_params(&grad)?;
         optimizer.step(net, schedule.lr(step));
         losses.push(loss);
         Ok(())

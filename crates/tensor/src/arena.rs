@@ -8,8 +8,8 @@
 //! The arena intercepts both ends of a tensor's life:
 //!
 //! * allocation — [`take_buffer`] hands out a cleared buffer from the
-//!   calling thread's pool (best-fit by capacity) and only falls back to
-//!   the heap on a pool miss;
+//!   calling thread's pool (best-fit by capacity, at most [`MAX_FIT`]
+//!   times the request) and only falls back to the heap on a pool miss;
 //! * liveness end — `Tensor`'s `Drop` impl sends the buffer back through
 //!   [`recycle`], so the next tensor of a similar size reuses it.
 //!
@@ -40,6 +40,10 @@ pub const MAX_BUFFERS: usize = 1024;
 
 /// Maximum total bytes a thread's pool retains (256 MiB).
 pub const MAX_POOLED_BYTES: usize = 256 << 20;
+
+/// Largest ratio of a pooled buffer's capacity to the requested length
+/// that [`take_buffer`] still hands out; a larger buffer is a miss.
+pub const MAX_FIT: usize = 2;
 
 /// Counters describing one thread's arena activity since the last
 /// [`reset_stats`] call.
@@ -99,9 +103,12 @@ impl Arena {
         if self.enabled {
             // Best fit: the smallest pooled buffer whose capacity covers
             // `len`. `buffers` is sorted by capacity, so that is the first
-            // buffer past the partition point.
+            // buffer past the partition point. A buffer more than
+            // [`MAX_FIT`] times `len` is left for a request its size: a
+            // small, long-lived tensor must not pin a large scratch buffer.
             let idx = self.buffers.partition_point(|b| b.capacity() < len);
-            if idx < self.buffers.len() {
+            let fits = |b: &Vec<f32>| b.capacity() <= len.saturating_mul(MAX_FIT);
+            if self.buffers.get(idx).is_some_and(fits) {
                 let mut buf = self.buffers.remove(idx);
                 self.pooled_bytes -= buf.capacity() * std::mem::size_of::<f32>();
                 buf.clear();
@@ -147,9 +154,10 @@ thread_local! {
     static ARENA: RefCell<Arena> = const { RefCell::new(Arena::new()) };
 }
 
-/// Takes an empty buffer with capacity ≥ `len` from the calling thread's
-/// pool, falling back to a fresh heap allocation on a miss. The buffer
-/// comes back with `len() == 0`; callers fill it themselves.
+/// Takes an empty buffer with capacity ≥ `len` (and at most [`MAX_FIT`]
+/// times `len`) from the calling thread's pool, falling back to a fresh
+/// heap allocation on a miss. The buffer comes back with `len() == 0`;
+/// callers fill it themselves.
 ///
 /// Safe to call during thread teardown (falls back to the heap once the
 /// thread-local pool is gone).
@@ -253,6 +261,28 @@ mod tests {
             recycle(small);
             let got = take_buffer(5);
             assert!(got.capacity() >= 5 && got.capacity() < 1000);
+        });
+    }
+
+    #[test]
+    fn request_never_receives_more_than_twice_its_size() {
+        with_fresh_arena(|| {
+            for cap in [1, 7, 64, 100, 1000, 4096] {
+                recycle(Vec::with_capacity(cap));
+            }
+            for len in [1, 2, 3, 4, 30, 33, 50, 64, 99, 500, 501, 2000, 2048, 3000] {
+                let buf = take_buffer(len);
+                assert!(buf.capacity() >= len, "{len}: {}", buf.capacity());
+                assert!(
+                    buf.capacity() <= MAX_FIT * len,
+                    "{len} got a buffer of {}",
+                    buf.capacity()
+                );
+                recycle(buf);
+            }
+            // Both a fitting hit and an oversized miss occurred.
+            let s = stats();
+            assert!(s.misses > 0 && s.hits > 0, "{s:?}");
         });
     }
 

@@ -20,8 +20,9 @@
 //! Depthwise convolutions skip that lowering: per channel it would be a
 //! `1 × k²` GEMM, so they run on direct kernels instead
 //! (`kernels::depthwise`) that reproduce the direct GEMM loops'
-//! accumulation order bit for bit, stage no im2col patch, and skip masked
-//! (all-zero) channels outright.
+//! accumulation order bit for bit, stage no im2col patch, skip masked
+//! (all-zero) channels outright, and run a budget-bounded run of images
+//! at once with `(image, channel)` as the vector lane.
 //!
 //! Pointwise convolutions (`kernel == 1`, `stride == 1`, `pad == 0`) skip
 //! the im2col staging copy entirely: the column matrix is exactly the
@@ -212,6 +213,11 @@ pub fn conv2d_forward_pinned(
     // the per-image shape, as an unpinned call would.
     let tags = GemmTags::a_tag(weight.pack_tag());
     let reference = ref_gemm.unwrap_or((params.c_out, krows, cols));
+    let threads = batch_threads(ishape.n, params.c_out * out_plane * krows);
+    if params.is_depthwise() {
+        depthwise::forward(input_data, weight_data, out.data_mut(), &geom, threads);
+        return Ok(out);
+    }
     if folds(params, ishape.n, cols, krows) {
         folded_product(
             Op::Ab,
@@ -225,17 +231,8 @@ pub fn conv2d_forward_pinned(
         );
         return Ok(out);
     }
-    // Depthwise weights are gathered once per call, masked channels dropped.
-    let dw = params.is_depthwise().then(|| {
-        depthwise::counter().incr();
-        depthwise::Weights::gather(weight_data, krows, true)
-    });
     let forward_one = |n: usize, out_image: &mut [f32]| {
         let image = &input_data[n * in_stride..(n + 1) * in_stride];
-        if let Some(w) = &dw {
-            depthwise::forward_image(image, w, out_image, &geom);
-            return;
-        }
         // out = W · col
         let product = |col: &[f32], out_image: &mut [f32]| {
             gemm_pinned(
@@ -262,7 +259,6 @@ pub fn conv2d_forward_pinned(
         }
     };
 
-    let threads = batch_threads(ishape.n, params.c_out * out_plane * krows);
     if threads == 1 {
         // Inline path: no per-call slice vector, so a steady-state forward
         // stays allocation-free (the alloc-budget gate depends on this).
@@ -369,6 +365,39 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     params: &Conv2dParams,
 ) -> Result<Conv2dGrads, TensorError> {
+    let (grad_in, weight) = backward(input, weight, grad_out, params, true)?;
+    Ok(Conv2dGrads {
+        input: grad_in.expect("the input gradient was requested"),
+        weight,
+    })
+}
+
+/// The weight gradient of [`conv2d_backward`] alone, bit-identical to its
+/// `weight` field: the input-gradient products (`Wᵀ·dOut` and `col2im`)
+/// are skipped. For a network's first layer, whose input gradient nothing
+/// reads.
+///
+/// # Errors
+///
+/// Returns [`TensorError`] on any shape inconsistency.
+pub fn conv2d_weight_grad(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    params: &Conv2dParams,
+) -> Result<Tensor, TensorError> {
+    Ok(backward(input, weight, grad_out, params, false)?.1)
+}
+
+/// The shared body of [`conv2d_backward`] and [`conv2d_weight_grad`]:
+/// the weight gradient, plus the input gradient when `input_grad`.
+fn backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    params: &Conv2dParams,
+    input_grad: bool,
+) -> Result<(Option<Tensor>, Tensor), TensorError> {
     params.validate()?;
     let ishape = input.shape();
     let geom = params.geom(ishape.h, ishape.w);
@@ -393,7 +422,7 @@ pub fn conv2d_backward(
     let in_plane = ishape.h * ishape.w;
     let out_plane = oh * ow;
 
-    let mut grad_in = Tensor::zeros(ishape);
+    let mut grad_in = input_grad.then(|| Tensor::zeros(ishape));
     let mut grad_w = Tensor::zeros(params.weight_shape());
     let in_stride = params.c_in * in_plane;
     let out_stride = params.c_out * out_plane;
@@ -406,8 +435,23 @@ pub fn conv2d_backward(
     let tags = GemmTags::a_tag(weight.pack_tag());
     // dIn = Wᵀ (krows × c_out) · dOut (c_out × cols), one GEMM for the
     // whole batch when the planes are narrower than a register tile.
-    let fold_din = folds(params, ishape.n, cols, params.c_out);
-    if fold_din {
+    let fold_din = input_grad && folds(params, ishape.n, cols, params.c_out);
+    let products = if input_grad && !fold_din { 2 } else { 1 };
+    let threads = batch_threads(ishape.n, products * params.c_out * out_plane * krows);
+    if params.is_depthwise() {
+        let din = grad_in.as_mut().map(Tensor::data_mut);
+        depthwise::backward(
+            input_data,
+            weight_data,
+            grad_out_data,
+            din,
+            grad_w.data_mut(),
+            &geom,
+            threads,
+        );
+        return Ok((grad_in, grad_w));
+    }
+    if let Some(grad_in) = grad_in.as_mut().filter(|_| fold_din) {
         let din = (krows, params.c_out, cols);
         folded_product(
             Op::AtB,
@@ -420,23 +464,14 @@ pub fn conv2d_backward(
             din,
         );
     }
-    // Depthwise weights are gathered once per call, every channel kept:
-    // masked channels still have a weight gradient.
-    let dw = params.is_depthwise().then(|| {
-        depthwise::counter().incr();
-        depthwise::Weights::gather(weight_data, krows, false)
-    });
-    // Per-image work: fills this image's slice of dInput and returns its
-    // dW contribution. Scratch buffers come from the thread's pool.
-    let backward_one = |n: usize, gin_image: &mut [f32]| -> Vec<f32> {
+    // Per-image work: fills this image's slice of dInput, when it is still
+    // to be computed, and returns its dW contribution. Scratch buffers come
+    // from the thread's pool.
+    let backward_one = |n: usize, gin_image: Option<&mut [f32]>| -> Vec<f32> {
         let mut gw = crate::arena::take_buffer(w_len);
         gw.resize(w_len, 0.0);
         let image = &input_data[n * in_stride..(n + 1) * in_stride];
         let dout = &grad_out_data[n * out_stride..(n + 1) * out_stride];
-        if let Some(w) = &dw {
-            depthwise::backward_image(image, dout, w, gin_image, &mut gw, &geom);
-            return gw;
-        }
         if pointwise {
             // col ≡ the input plane matrix and col2im is the identity
             // accumulation, so both products run in place: dW reads the
@@ -454,7 +489,7 @@ pub fn conv2d_backward(
                 true,
                 GemmTags::default(),
             );
-            if !fold_din {
+            if let Some(gin_image) = gin_image {
                 // dIn += Wᵀ (krows × c_out) · dOut (c_out × cols)
                 gemm(
                     Op::AtB,
@@ -471,22 +506,23 @@ pub fn conv2d_backward(
             return gw;
         }
         with_scratch(krows * cols, |col| {
+            // dW += dOut (c_out × cols) · colᵀ (cols × krows)
+            im2col(image, &geom, col);
+            gemm(
+                Op::ABt,
+                dout,
+                col,
+                &mut gw,
+                params.c_out,
+                cols,
+                krows,
+                true,
+                GemmTags::default(),
+            );
+        });
+        if let Some(gin_image) = gin_image {
             with_scratch(krows * cols, |dcol| {
-                // dW += dOut (c_out × cols) · colᵀ (cols × krows)
-                im2col(image, &geom, col);
-                gemm(
-                    Op::ABt,
-                    dout,
-                    col,
-                    &mut gw,
-                    params.c_out,
-                    cols,
-                    krows,
-                    true,
-                    GemmTags::default(),
-                );
                 // dCol = Wᵀ (krows × c_out) · dOut (c_out × cols)
-                dcol.fill(0.0);
                 gemm(
                     Op::AtB,
                     weight_data,
@@ -500,24 +536,28 @@ pub fn conv2d_backward(
                 );
                 col2im(dcol, &geom, gin_image);
             });
-        });
+        }
         gw
     };
 
-    let products = if fold_din { 1 } else { 2 };
-    let threads = batch_threads(ishape.n, products * params.c_out * out_plane * krows);
+    // The images whose dIn slice the per-image loop still fills.
+    let mut gin_images = grad_in
+        .as_mut()
+        .filter(|_| !fold_din)
+        .map(|g| g.data_mut().chunks_mut(in_stride));
+    let mut next_gin = || gin_images.as_mut().and_then(Iterator::next);
     if threads == 1 {
         // Inline path mirrors the parallel merge exactly: one zeroed
         // partial per image, added in batch order, buffer recycled.
-        for (n, gin_image) in grad_in.data_mut().chunks_mut(in_stride).enumerate() {
-            let partial = backward_one(n, gin_image);
+        for n in 0..ishape.n {
+            let partial = backward_one(n, next_gin());
             for (w, p) in grad_w.data_mut().iter_mut().zip(&partial) {
                 *w += p;
             }
             crate::arena::recycle(partial);
         }
     } else {
-        let images: Vec<&mut [f32]> = grad_in.data_mut().chunks_mut(in_stride).collect();
+        let images: Vec<Option<&mut [f32]>> = (0..ishape.n).map(|_| next_gin()).collect();
         let partials = hsconas_par::par_map_owned(images, threads, backward_one);
         // Merge dW partials in batch order: each image's contribution is a
         // single addend per weight, so this reproduces the serial per-image
@@ -529,10 +569,7 @@ pub fn conv2d_backward(
             crate::arena::recycle(partial);
         }
     }
-    Ok(Conv2dGrads {
-        input: grad_in,
-        weight: grad_w,
-    })
+    Ok((grad_in, grad_w))
 }
 
 #[cfg(test)]
@@ -1047,6 +1084,44 @@ mod tests {
         assert_eq!(y_serial.data(), y_par.data());
         assert_eq!(g_serial.input.data(), g_par.input.data());
         assert_eq!(g_serial.weight.data(), g_par.weight.data());
+    }
+
+    #[test]
+    fn weight_grad_alone_matches_full_backward_bit_for_bit() {
+        let mut rng = SmallRng::new(19);
+        let dense = |c_in, c_out, kernel, stride| Conv2dParams {
+            c_in,
+            c_out,
+            kernel,
+            stride,
+            pad: kernel / 2,
+            groups: 1,
+        };
+        // (params, batch, plane): the stem's 3×3 stride-2 conv, a wide
+        // conv that fans out over the pool, per-image and batch-folded
+        // pointwise convs, and depthwise convs folded and per image.
+        let cases = [
+            (dense(3, 8, 3, 2), 4, 32),
+            (dense(8, 16, 3, 1), 3, 24),
+            (dense(16, 32, 1, 1), 2, 4),
+            (dense(32, 16, 1, 1), 4, 2),
+            (dw_params(8, 7, 2), 8, 16),
+            (dw_params(32, 7, 1), 3, 16),
+        ];
+        for threads in [1, 4] {
+            hsconas_par::set_default_threads(threads);
+            for &(p, batch, plane) in &cases {
+                let x = Tensor::randn([batch, p.c_in, plane, plane], 1.0, &mut rng);
+                let w = Tensor::randn(p.weight_shape(), 0.5, &mut rng);
+                let y = conv2d_forward(&x, &w, &p).unwrap();
+                let dy = Tensor::randn(y.shape(), 1.0, &mut rng);
+                let full = conv2d_backward(&x, &w, &dy, &p).unwrap();
+                let alone = conv2d_weight_grad(&x, &w, &dy, &p).unwrap();
+                let case = format!("{p:?} n{batch} {plane}x{plane} t{threads}");
+                assert_bits(&case, alone.data(), full.weight.data());
+            }
+        }
+        hsconas_par::set_default_threads(0);
     }
 
     #[test]

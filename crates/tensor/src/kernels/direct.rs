@@ -11,6 +11,8 @@
 //! Semantics are accumulate-only (`c += …`); the entry points in
 //! [`crate::kernels`] zero `c` first when overwrite semantics are wanted.
 
+use crate::scratch::with_scratch;
+
 /// Rows of the register tile (rows of `a` per microkernel call).
 const MR: usize = 4;
 /// Columns of the register tile (columns of `c` per microkernel call).
@@ -205,6 +207,10 @@ fn panel_atb(
 
 /// `c += a · bᵀ` with `b` stored row-major `(n, k)`.
 pub(crate) fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    if k < LANES {
+        matmul_a_bt_short(a, b, c, m, k, n);
+        return;
+    }
     // Both operands are walked along `k`, so each (i, j) pair is a dot
     // product; eight independent lanes break the serial FP dependency
     // chain and autovectorize.
@@ -219,6 +225,39 @@ pub(crate) fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
             *cv += dot_lanes(a_row, b_row);
         }
     }
+}
+
+/// [`matmul_a_bt`] for `k < LANES`, where every [`dot_lanes`] call is all
+/// tail: `c[i][j] += ((+0 + a[i][0]·b[j][0]) + a[i][1]·b[j][1]) + …` in
+/// `k` order, one output per call. The same sequence run across `j` over
+/// a transposed copy of `b` gives the same bits, `n` outputs per
+/// multiply-add. All-zero rows of `a` are skipped, as there.
+fn matmul_a_bt_short(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    if k == 0 {
+        return;
+    }
+    with_scratch((k + 1) * n, |buf| {
+        let (bt, acc) = buf.split_at_mut(k * n);
+        for (j, b_row) in b[..n * k].chunks_exact(k).enumerate() {
+            for (l, &v) in b_row.iter().enumerate() {
+                bt[l * n + j] = v;
+            }
+        }
+        for (a_row, c_row) in a[..m * k].chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            if a_row.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            acc.fill(0.0);
+            for (&av, bt_row) in a_row.iter().zip(bt.chunks_exact(n)) {
+                for (s, &bv) in acc.iter_mut().zip(bt_row) {
+                    *s += av * bv;
+                }
+            }
+            for (cv, &s) in c_row.iter_mut().zip(acc.iter()) {
+                *cv += s;
+            }
+        }
+    });
 }
 
 /// Accumulator lanes of [`dot_lanes`].
@@ -249,4 +288,56 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub(crate) fn reduce_lanes(lanes: &[f32; LANES]) -> f32 {
     lanes.iter().sum::<f32>()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::SmallRng;
+
+    /// The one-dot-per-output loop [`matmul_a_bt`] runs for every `k`,
+    /// kept as the reference for its `k < LANES` route.
+    fn a_bt_by_dot_lanes(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            if a_row.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            for (j, cv) in c[i * n..(i + 1) * n].iter_mut().enumerate() {
+                *cv += dot_lanes(a_row, &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    #[test]
+    fn short_a_bt_matches_dot_lanes_bit_for_bit() {
+        let mut rng = SmallRng::new(7);
+        let mut normal = || rng.next_normal() as f32;
+        for k in 1..=LANES + 1 {
+            for (m, n) in [(1, 1), (3, 5), (64, 128), (5, 17)] {
+                let mut a: Vec<f32> = (0..m * k).map(|_| normal()).collect();
+                let mut b: Vec<f32> = (0..n * k).map(|_| normal()).collect();
+                let mut c: Vec<f32> = (0..m * n).map(|_| normal()).collect();
+                // An all-zero row of `a` (one zero negative), signed-zero
+                // products, and a column of `c` holding negative zeros.
+                a[..k].fill(0.0);
+                a[0] = -0.0;
+                if m > 1 {
+                    a[k] = -0.0;
+                    a[k + k - 1] = 0.0;
+                }
+                b[0] = -0.0;
+                b[n * k - 1] = 0.0;
+                for row in c.chunks_exact_mut(n) {
+                    row[0] = -0.0;
+                }
+                let mut want = c.clone();
+                a_bt_by_dot_lanes(&a, &b, &mut want, m, k, n);
+                matmul_a_bt(&a, &b, &mut c, m, k, n);
+                for (i, (got, want)) in c.iter().zip(&want).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "k{k} m{m} n{n} [{i}]");
+                }
+            }
+        }
+    }
 }

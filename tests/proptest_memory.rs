@@ -15,7 +15,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arena-backed and plain-heap forward/backward are bit-identical for
-    /// random architectures (random ops + channel scales) and batch sizes.
+    /// random architectures (random ops + channel scales) and batch sizes:
+    /// the logits and every parameter's gradient.
     #[test]
     fn arena_on_off_forward_backward_bit_identical(
         weight_seed in 0u64..1_000,
@@ -30,14 +31,17 @@ proptest! {
             let mut net = Supernet::build(space.skeleton(), &mut rng).unwrap();
             let x = Tensor::randn([batch, 3, 32, 32], 1.0, &mut rng);
             let y = net.forward(&x, &arch, true).unwrap();
-            let g = net.backward(&Tensor::full(y.shape(), 1.0)).unwrap();
-            (y, g)
+            net.backward(&Tensor::full(y.shape(), 1.0)).unwrap();
+            let mut grads = Vec::new();
+            net.visit_params(&mut |_, g, _| grads.extend(g.data().iter().map(|v| v.to_bits())));
+            (y, grads)
         };
         let (y_pooled, g_pooled) = run(true);
         let (y_plain, g_plain) = run(false);
         arena::set_enabled(true);
         prop_assert_eq!(y_pooled.data(), y_plain.data());
-        prop_assert_eq!(g_pooled.data(), g_plain.data());
+        prop_assert!(g_pooled.iter().any(|&b| b != 0));
+        prop_assert_eq!(g_pooled, g_plain);
     }
 
     /// Subnet evaluation with the prefix-activation cache is bit-identical
